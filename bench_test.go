@@ -144,49 +144,65 @@ func BenchmarkSimulatedPacketRate(b *testing.B) {
 	b.ReportMetric(float64(delivered)/float64(b.N), "pkts/op")
 }
 
-// BenchmarkMachineSteadyState drives the full machine hot path — emit,
-// DMA commit, LLC insert, pipelined CPU cost with state touches,
-// delivery — after warm-up, asserting via the CI -benchmem gate that the
-// per-packet path performs no allocation (buffer payloads ride in the
-// LLC's pooled LRU nodes; module state lines reuse the same pool).
-func BenchmarkMachineSteadyState(b *testing.B) {
-	b.ReportAllocs()
-	sim := ceio.NewSimulator(ceio.DefaultConfig(), ceio.ArchCEIO)
+// steadyStateArchs are the rows of the machine steady-state allocation
+// gate: every architecture, each with the warm-up that brings its pooled
+// free lists to their high-water mark. RDCA's per-partition pend FIFO
+// backing arrays keep growing for a few ms, so it warms longest.
+var steadyStateArchs = []struct {
+	arch   ceio.Architecture
+	warmup ceio.Duration
+}{
+	{ceio.ArchBaseline, 2 * ceio.Millisecond},
+	{ceio.ArchHostCC, 2 * ceio.Millisecond},
+	{ceio.ArchShRing, 2 * ceio.Millisecond},
+	{ceio.ArchCEIO, 2 * ceio.Millisecond},
+	{ceio.ArchRDCA, 20 * ceio.Millisecond},
+}
+
+// steadyStateSim builds arch with four KV flows running the nat64,firewall
+// pipeline plus one CPU-bypass file-transfer flow, and runs it through
+// warmup.
+func steadyStateSim(arch ceio.Architecture, warmup ceio.Duration) *ceio.Simulator {
+	sim := ceio.NewSimulator(ceio.DefaultConfig(), arch)
 	for i := 1; i <= 4; i++ {
 		f := ceio.KVFlow(i, 256)
 		f.Pipeline = []string{"nat64", "firewall"}
 		sim.AddFlow(f)
 	}
 	sim.AddFlow(ceio.FileTransferFlow(5, 1024, 64))
-	sim.RunFor(2 * ceio.Millisecond) // reach pooled steady state
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.RunFor(10 * ceio.Microsecond)
+	sim.RunFor(warmup)
+	return sim
+}
+
+// BenchmarkMachineSteadyState drives the full machine hot path of every
+// architecture — emit, datapath admission, DMA commit, LLC insert,
+// pipelined CPU cost with state touches, delivery, CPU-bypass consume —
+// after warm-up, asserting via the CI -benchmem gate that the per-packet
+// path performs no allocation on any row.
+func BenchmarkMachineSteadyState(b *testing.B) {
+	for _, row := range steadyStateArchs {
+		b.Run(string(row.arch), func(b *testing.B) {
+			b.ReportAllocs()
+			sim := steadyStateSim(row.arch, row.warmup)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sim.RunFor(10 * ceio.Microsecond)
+			}
+		})
 	}
 }
 
-// BenchmarkRDCASteadyState drives the RDCA datapath hot path — window
-// admission check, in-flight tagging, DMA, recycling demotion at
-// delivery, periodic controller tick with the LLC imminence walk —
-// after warm-up. The CI -benchmem gate asserts zero allocations per
-// op: parked arrivals ride the pooled job free list and the controller
-// resizes windows in place.
-func BenchmarkRDCASteadyState(b *testing.B) {
-	b.ReportAllocs()
-	sim := ceio.NewRDCASimulator(ceio.DefaultConfig(), ceio.DefaultRDCAOptions())
-	for i := 1; i <= 4; i++ {
-		f := ceio.KVFlow(i, 256)
-		f.Pipeline = []string{"nat64", "firewall"}
-		sim.AddFlow(f)
-	}
-	sim.AddFlow(ceio.FileTransferFlow(5, 1024, 64))
-	// The pooled free lists and per-partition pend FIFO backing arrays
-	// keep growing for a few ms; warm until the measured region is
-	// allocation-free even at short -benchtime counts.
-	sim.RunFor(20 * ceio.Millisecond)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.RunFor(10 * ceio.Microsecond)
+// TestMachineSteadyStateZeroAlloc is the tier-1 form of the benchmark's
+// allocation gate: after warm-up, 10 µs of simulated traffic allocates
+// nothing on any architecture.
+func TestMachineSteadyStateZeroAlloc(t *testing.T) {
+	for _, row := range steadyStateArchs {
+		t.Run(string(row.arch), func(t *testing.T) {
+			sim := steadyStateSim(row.arch, row.warmup)
+			if avg := testing.AllocsPerRun(200, func() { sim.RunFor(10 * ceio.Microsecond) }); avg != 0 {
+				t.Fatalf("%s steady state allocates %.0f objects per 10 µs, want 0", row.arch, avg)
+			}
+		})
 	}
 }
 
@@ -265,10 +281,10 @@ func BenchmarkFleet64ShardedParallel8(b *testing.B) { benchFleet64Sharded(b, 8) 
 func BenchmarkEngineScheduling(b *testing.B) {
 	b.ReportAllocs()
 	eng := sim.NewEngine(1)
-	fn := func() {}
+	fn := func(any) {}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.After(sim.Time(i%64), fn)
+		eng.After(sim.Time(i%64), fn, nil)
 		eng.Step()
 	}
 }
@@ -279,14 +295,14 @@ func BenchmarkEngineScheduling(b *testing.B) {
 func BenchmarkEngineSchedulingDeep(b *testing.B) {
 	b.ReportAllocs()
 	eng := sim.NewEngine(1)
-	fn := func() {}
+	fn := func(any) {}
 	spread := []sim.Time{64, 3 * 1024, 200 * 1024, 16 * 1024 * 1024}
 	for i := 0; i < 4096; i++ {
-		eng.After(spread[i%len(spread)], fn)
+		eng.After(spread[i%len(spread)], fn, nil)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.After(spread[i%len(spread)], fn)
+		eng.After(spread[i%len(spread)], fn, nil)
 		eng.Step()
 	}
 }

@@ -263,7 +263,10 @@ func (s *Simulator) ResumeFlow(id int) { s.m.ResumeFlow(id) }
 func (s *Simulator) OnDeliver(fn func(*Flow, *Packet)) { s.m.OnDeliver = fn }
 
 // At schedules fn at an absolute simulated time (scenario scripting).
-func (s *Simulator) At(t Duration, fn func()) { s.m.Eng.At(t, fn) }
+func (s *Simulator) At(t Duration, fn func()) { s.m.Eng.At(t, callFunc, fn) }
+
+// callFunc runs a func() scheduled as an event argument.
+func callFunc(arg any) { arg.(func())() }
 
 // RunFor advances the simulation by d.
 func (s *Simulator) RunFor(d Duration) { s.m.Run(s.m.Eng.Now() + d) }

@@ -4,6 +4,7 @@ import (
 	"ceio/internal/iosys"
 	"ceio/internal/sim"
 	"ceio/internal/stats"
+	"ceio/internal/transport"
 )
 
 // HostCCConfig parameterises the reactive controller.
@@ -94,11 +95,12 @@ func (h *HostCC) monitor() {
 		}
 		h.lastTrigger[id] = now
 		h.Triggers++
-		cc := f.CC
 		// The reduction reaches the sender only after the reaction delay;
 		// by then more packets have already missed the LLC.
-		m.Eng.After(h.cfg.ReactionDelay, cc.ForceReduce)
+		m.Eng.After(h.cfg.ReactionDelay, forceReduce, f.CC)
 	}
 }
+
+func forceReduce(arg any) { arg.(*transport.FlowCC).ForceReduce() }
 
 var _ iosys.Datapath = (*HostCC)(nil)

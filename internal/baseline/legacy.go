@@ -13,6 +13,9 @@ import (
 // flowState is the per-flow driver state shared by the baseline paths.
 type flowState struct {
 	rx *ring.HWRing
+	// pollOut backs the batch Poll returns; reused across polls (the
+	// consuming core delivers a batch before polling the flow again).
+	pollOut []*pkt.Packet
 }
 
 // Legacy is the unmanaged DDIO datapath of Figure 2: per-flow hardware
@@ -56,35 +59,35 @@ func (l *Legacy) Ingress(f *iosys.Flow, p *pkt.Packet) {
 			return
 		}
 		st.rx.Post(p)
-		l.m.DMAToHost(p, func() {})
+		l.m.DMAToHost(p, nil, nil)
 	default: // CPU-bypass: RDMA-style, no rx ring limit on the host side
 		if !l.m.ReserveHostBuf(p) {
 			l.m.DropNoHostBuf(f, p)
 			return
 		}
-		l.m.DMAToHost(p, func() {
-			l.m.ConsumeBypass(f, p, nil)
-		})
+		l.m.DMAToHostAndConsume(f, p)
 	}
 }
 
 // Poll hands landed packets from the flow's rx ring to the core.
 func (l *Legacy) Poll(f *iosys.Flow, max int) []*pkt.Packet {
-	return popLanded(f.DP.(*flowState).rx, max)
+	return popLanded(f.DP.(*flowState), max)
 }
 
 // OnDelivered implements iosys.Datapath.
 func (l *Legacy) OnDelivered(f *iosys.Flow, p *pkt.Packet) {}
 
-// popLanded pops in-order packets whose DMA completed.
-func popLanded(r *ring.HWRing, max int) []*pkt.Packet {
-	var out []*pkt.Packet
+// popLanded pops in-order packets whose DMA completed into the flow's
+// reused poll batch.
+func popLanded(st *flowState, max int) []*pkt.Packet {
+	out := st.pollOut[:0]
 	for len(out) < max {
-		head := r.Peek()
+		head := st.rx.Peek()
 		if head == nil || !head.Landed {
 			break
 		}
-		out = append(out, r.Pop())
+		out = append(out, st.rx.Pop())
 	}
+	st.pollOut = out
 	return out
 }

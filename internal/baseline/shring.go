@@ -99,26 +99,29 @@ func (s *ShRing) Ingress(f *iosys.Flow, p *pkt.Packet) {
 			s.m.Drop(f, p)
 			return
 		}
-		s.m.DMAToHost(p, func() {})
+		s.m.DMAToHost(p, nil, nil)
 	default:
-		s.m.DMAToHost(p, func() {
-			s.m.ConsumeBypass(f, p, s.release)
-		})
+		s.m.DMAToHostAndConsume(f, p)
 	}
 }
 
 // Poll hands landed packets to the core and frees their shared entries
 // (ownership transfers to the application at pop, like posted receives).
 func (s *ShRing) Poll(f *iosys.Flow, max int) []*pkt.Packet {
-	out := popLanded(f.DP.(*flowState).rx, max)
+	out := popLanded(f.DP.(*flowState), max)
 	for range out {
 		s.release()
 	}
 	return out
 }
 
-// OnDelivered implements iosys.Datapath.
-func (s *ShRing) OnDelivered(f *iosys.Flow, p *pkt.Packet) {}
+// OnDelivered frees a CPU-bypass packet's shared entry once the memory
+// controller has consumed it (CPU-involved entries free at Poll).
+func (s *ShRing) OnDelivered(f *iosys.Flow, p *pkt.Packet) {
+	if f.Kind != iosys.CPUInvolved {
+		s.release()
+	}
+}
 
 // Used exposes current shared occupancy for tests.
 func (s *ShRing) Used() int { return s.used }

@@ -71,10 +71,10 @@ type Options struct {
 	// ForceSlowPath sets every flow's credits to zero so all traffic
 	// takes the slow path (Fig. 11's "slow path" curve).
 	ForceSlowPath bool
-	// MPQ, when non-nil, replaces the credit-based scheduler with the
-	// PIAS-style Multiple Priority Queues strawman §4.1 argues against:
-	// a shared credit pool with per-priority reserves and eager release.
-	// Used by the MPQ-vs-lazy-release ablation.
+	// MPQ, when non-nil, replaces the credit-based admission policy with
+	// the PIAS-style Multiple Priority Queues strawman §4.1 argues against
+	// (mpq.go): a shared credit pool with per-priority reserves and eager
+	// release. Used by the MPQ-vs-lazy-release ablation.
 	MPQ *MPQConfig
 }
 
@@ -117,8 +117,6 @@ type flowState struct {
 	// pollOut backs the batch Poll returns; reused across polls (the
 	// consuming core delivers a batch before polling the flow again).
 	pollOut []*pkt.Packet
-	// drainFn is the persistent retry callback for a stalled bypass drain.
-	drainFn func()
 
 	unreleased      int    // fast-path packets delivered since last release
 	deliveredAtScan uint64 // activity tracking for the credit scan
@@ -169,19 +167,21 @@ type CEIO struct {
 	m    *iosys.Machine
 	opt  Options
 	ctrl *CreditController
+	// adm is the fast-path admission policy: Algorithm 1's credit
+	// accounts, or the MPQ strawman when Options.MPQ is set.
+	adm admission
 
 	flows    map[int]*flowState
 	rrCursor int
-	mpqInUse int // shared credits consumed (MPQ scheduler only)
 
 	// coreShares carves C_total into per-rx-queue-core budgets on a
 	// multi-queue machine (see coreshare.go); nil when Cores == 0 or under
 	// the MPQ strawman.
 	coreShares []int
 
-	// freeJobs recycles the per-packet ctrlJob carriers that ride the
+	// jobs recycles the per-packet ctrlJob carriers that ride the
 	// controller window, fast-path DMA, and on-NIC DRAM pipeline.
-	freeJobs *ctrlJob
+	jobs sim.Carriers[ctrlJob]
 
 	// faultMode is set once fault injection is armed: rings tolerate
 	// protocol violations, reconciliation runs, and graceful shedding under
@@ -260,11 +260,13 @@ func New(opts Options) *CEIO {
 	if opts.SteerRetryBase == 0 {
 		opts.SteerRetryBase = d.SteerRetryBase
 	}
-	return &CEIO{
+	c := &CEIO{
 		opt:      opts,
 		flows:    make(map[int]*flowState),
 		draining: make(map[*flowState]struct{}),
 	}
+	c.adm = newAdmission(c)
+	return c
 }
 
 // Name implements iosys.Datapath.
@@ -285,15 +287,7 @@ func (c *CEIO) Attach(m *iosys.Machine) {
 		total = m.Cfg.TotalCredits()
 	}
 	c.ctrl = NewCreditController(total)
-	if m.Cfg.Cores > 0 && c.opt.MPQ == nil {
-		// Multi-queue machine: carve C_total into per-core shares (equal
-		// until the active-flow scan learns the per-core populations).
-		c.coreShares = carveShares(total, make([]int, m.Cfg.Cores))
-	}
-	if c.opt.CreditRealloc && c.opt.MPQ == nil {
-		m.Eng.Every(c.opt.ScanPeriod, c.opt.ScanPeriod, c.scanActiveFlows)
-		m.Eng.Every(c.opt.ReactivatePeriod, c.opt.ReactivatePeriod, c.reactivateRoundRobin)
-	}
+	c.adm.start()
 }
 
 // FaultsEnabled implements iosys.FaultAware: the control plane switches to
@@ -306,9 +300,7 @@ func (c *CEIO) FaultsEnabled() {
 	for _, st := range c.flows {
 		st.sw.FaultTolerant = true
 	}
-	if c.opt.MPQ == nil {
-		c.m.Eng.Every(c.opt.ReclaimPeriod, c.opt.ReclaimPeriod, c.reconcileCredits)
-	}
+	c.adm.startFaults()
 }
 
 // FlowAdded allocates credits per Algorithm 1 and offloads the initial
@@ -397,10 +389,6 @@ func (c *CEIO) finishDrain(st *flowState) {
 	}
 }
 
-// Ingress implements the NIC-entrance decision of Figure 6: consume a
-// credit and take the legacy fast path, or divert to the elastic on-NIC
-// buffer. The control overhead models the flow controller logic on the
-// NIC cores.
 // ctrlJob carries one packet's (controller, flow state, packet) context
 // through the NIC controller's processing window, the fast-path DMA, and
 // the slow-path read pipeline; pool-recycled so the steady state
@@ -411,7 +399,6 @@ type ctrlJob struct {
 	p    *pkt.Packet
 	cont uint8  // read-completion continuation selector
 	idx  uint64 // SW-ring index for contMarkReady
-	next *ctrlJob
 }
 
 // Read-completion continuations (ctrlJob.cont).
@@ -424,27 +411,21 @@ const (
 )
 
 func (c *CEIO) getJob(st *flowState, p *pkt.Packet) *ctrlJob {
-	j := c.freeJobs
-	if j == nil {
-		j = &ctrlJob{}
-	} else {
-		c.freeJobs = j.next
-	}
-	j.c, j.st, j.p, j.next = c, st, p, nil
+	j := c.jobs.Get()
+	j.c, j.st, j.p = c, st, p
 	return j
 }
 
-func (c *CEIO) putJob(j *ctrlJob) {
-	*j = ctrlJob{next: c.freeJobs}
-	c.freeJobs = j
-}
-
+// Ingress implements the NIC-entrance decision of Figure 6: consume a
+// credit and take the legacy fast path, or divert to the elastic on-NIC
+// buffer. The control overhead models the flow controller logic on the
+// NIC cores.
 func (c *CEIO) Ingress(f *iosys.Flow, p *pkt.Packet) {
 	st := c.flows[f.ID]
 	if st == nil {
 		return // flow torn down while the packet was on the wire
 	}
-	c.m.Eng.AfterArg(c.opt.ControlOverhead, ctrlDecide, c.getJob(st, p))
+	c.m.Eng.After(c.opt.ControlOverhead, ctrlDecide, c.getJob(st, p))
 }
 
 // ctrlDecide runs after the controller's processing window: steer the
@@ -452,7 +433,7 @@ func (c *CEIO) Ingress(f *iosys.Flow, p *pkt.Packet) {
 func ctrlDecide(arg any) {
 	j := arg.(*ctrlJob)
 	c, st, p := j.c, j.st, j.p
-	c.putJob(j)
+	c.jobs.Put(j)
 	if st.gone {
 		// Torn down during the controller's processing window.
 		c.m.Drop(st.f, p)
@@ -471,7 +452,7 @@ func ctrlDecide(arg any) {
 			c.ingressSlow(st, p)
 			return
 		}
-		if c.admit(st, p) {
+		if c.adm.admit(st, p) {
 			c.ingressFast(st, p)
 			return
 		}
@@ -506,22 +487,40 @@ func (c *CEIO) trySteer(st *flowState, a flowsteer.Action, epoch uint64, attempt
 		}
 		c.SteerRetries++
 		backoff := c.opt.SteerRetryBase << uint(attempt)
-		c.m.Eng.After(backoff, func() { c.trySteer(st, a, epoch, attempt+1) })
+		c.m.Eng.After(backoff, steerRetry, &steerStep{c, st, a, epoch, attempt + 1})
 		return
 	}
 	if delay > 0 {
-		c.m.Eng.After(delay, func() { c.commitSteer(st, a, epoch) })
+		c.m.Eng.After(delay, steerCommit, &steerStep{c, st, a, epoch, attempt})
 		return
 	}
 	c.m.Steer.SetAction(st.f.ID, a)
 	st.degraded = false
 }
 
-func (c *CEIO) commitSteer(st *flowState, a flowsteer.Action, epoch uint64) {
-	if st.steerEpoch != epoch || c.flows[st.f.ID] != st {
+// steerStep carries a delayed steering update (a retry after rejection,
+// or a commit after an injected table delay) to its trampoline. Only
+// fault injection schedules one.
+type steerStep struct {
+	c       *CEIO
+	st      *flowState
+	a       flowsteer.Action
+	epoch   uint64
+	attempt int
+}
+
+func steerRetry(arg any) {
+	s := arg.(*steerStep)
+	s.c.trySteer(s.st, s.a, s.epoch, s.attempt)
+}
+
+func steerCommit(arg any) {
+	s := arg.(*steerStep)
+	c, st := s.c, s.st
+	if st.steerEpoch != s.epoch || c.flows[st.f.ID] != st {
 		return
 	}
-	c.m.Steer.SetAction(st.f.ID, a)
+	c.m.Steer.SetAction(st.f.ID, s.a)
 	st.degraded = false
 }
 
@@ -539,13 +538,36 @@ func (c *CEIO) steerFallback(st *flowState) {
 	}
 }
 
-// admit decides fast-path admission under the active scheduler: per-flow
-// credit accounts with a proactive low-water ECN signal (CEIO's design),
-// or the shared-pool PIAS admission of the MPQ strawman.
-func (c *CEIO) admit(st *flowState, p *pkt.Packet) bool {
-	if c.opt.MPQ != nil {
-		return c.mpqAdmit(st, p)
+// creditAdmission is Algorithm 1's admission policy: per-flow credit
+// accounts, lazy release at message-batch completion, and the active-flow
+// reallocation timers.
+type creditAdmission struct{ c *CEIO }
+
+// start carves per-core shares on a multi-queue machine and arms the
+// active-flow scan and the round-robin reactivation timer.
+func (a creditAdmission) start() {
+	c := a.c
+	if c.m.Cfg.Cores > 0 {
+		// Multi-queue machine: carve C_total into per-core shares (equal
+		// until the active-flow scan learns the per-core populations).
+		c.coreShares = carveShares(c.ctrl.Total(), make([]int, c.m.Cfg.Cores))
 	}
+	if c.opt.CreditRealloc {
+		c.m.Eng.Every(c.opt.ScanPeriod, c.opt.ScanPeriod, c.scanActiveFlows)
+		c.m.Eng.Every(c.opt.ReactivatePeriod, c.opt.ReactivatePeriod, c.reactivateRoundRobin)
+	}
+}
+
+// startFaults arms the credit-reconciliation heartbeat.
+func (a creditAdmission) startFaults() {
+	c := a.c
+	c.m.Eng.Every(c.opt.ReclaimPeriod, c.opt.ReclaimPeriod, c.reconcileCredits)
+}
+
+// admit consumes one of the flow's credits, with a proactive low-water
+// ECN signal.
+func (a creditAdmission) admit(st *flowState, p *pkt.Packet) bool {
+	c := a.c
 	// On a partitioned machine the credit bound is per tenant, not
 	// global: Eq. 1 applied to the tenant's partition instead of the
 	// whole DDIO region. A tenant with its full partition budget in
@@ -584,14 +606,14 @@ func (c *CEIO) ingressFast(st *flowState, p *pkt.Packet) {
 		// Host buffer pool exhausted: un-admit and keep the packet in
 		// on-NIC memory instead of dropping it — the elastic buffer also
 		// absorbs host-side buffer shortage.
-		c.unadmit(st)
+		c.adm.unadmit(st)
 		c.ingressSlow(st, p)
 		return
 	}
 	p.Path = pkt.PathFast
 	c.FastPackets++
 	st.fastInFlight++
-	c.m.DMAToHostArg(p, ceioFastLanded, c.getJob(st, p))
+	c.m.DMAToHost(p, ceioFastLanded, c.getJob(st, p))
 }
 
 // ceioFastLanded is the DMA completion trampoline for the fast path: a
@@ -600,18 +622,46 @@ func (c *CEIO) ingressFast(st *flowState, p *pkt.Packet) {
 func ceioFastLanded(arg any) {
 	j := arg.(*ctrlJob)
 	c, st, p := j.c, j.st, j.p
-	c.putJob(j)
+	c.jobs.Put(j)
 	c.fastLanded(st, p)
 }
 
 // unadmit returns the credit taken by admit when the fast path could not
 // be used after all.
-func (c *CEIO) unadmit(st *flowState) {
-	if c.opt.MPQ != nil {
-		c.mpqReleaseOne()
+func (a creditAdmission) unadmit(st *flowState) { a.c.ctrl.Release(st.f.ID, 1) }
+
+// delivered performs lazy credit release: when the application finishes
+// a message batch (MsgEnd), the fast-path credits its packets consumed
+// return to the flow — and debts from Algorithm 1 are settled. Without
+// LazyRelease (the eager ablation) each fast-path packet returns its
+// credit at once.
+func (a creditAdmission) delivered(st *flowState, p *pkt.Packet) {
+	c := a.c
+	if !c.opt.LazyRelease {
+		if p.Path == pkt.PathFast {
+			c.release(st, 1)
+			c.maybeResumeFast(st)
+		}
 		return
 	}
-	c.ctrl.Release(st.f.ID, 1)
+	if p.Path == pkt.PathFast {
+		st.unreleased++
+	}
+	if p.MsgEnd && st.unreleased > 0 {
+		c.release(st, st.unreleased)
+		st.unreleased = 0
+		c.maybeResumeFast(st)
+	}
+}
+
+// mayResume gates a drained flow's return to the fast path on its own
+// credits and on its tenant's and core's budgets: resuming while any of
+// them is fully in flight would demote again on the next packet,
+// thrashing the steering rule. This is a gate, not an admission attempt,
+// so nothing counts as a reject.
+func (a creditAdmission) mayResume(st *flowState) bool {
+	c := a.c
+	return c.ctrl.Available(st.f.ID) > 0 && c.tenantBudgetOK(st) && c.coreBudgetOK(st)
 }
 
 // tenantInUse sums the fast-path credits currently in flight for the
@@ -664,7 +714,7 @@ func (c *CEIO) fastLanded(st *flowState, p *pkt.Packet) {
 	}
 	if st.f.Kind == iosys.CPUBypass {
 		// CPU-bypass fast path: the memory controller retires the packet.
-		c.m.ConsumeBypass(st.f, p, nil)
+		c.m.ConsumeBypass(st.f, p)
 	} else {
 		if !st.sw.PushFast(p) {
 			panic("core: SW ring overflow on fast path (sizing bug)")
@@ -717,13 +767,13 @@ func (c *CEIO) ingressSlow(st *flowState, p *pkt.Packet) {
 		st.slowUnpushed++
 	}
 	// Write into on-NIC DRAM.
-	c.m.NICMem.SubmitArg(p.Size, ceioSlowArrived, c.getJob(st, p))
+	c.m.NICMem.Submit(p.Size, ceioSlowArrived, c.getJob(st, p))
 }
 
 func ceioSlowArrived(arg any) {
 	j := arg.(*ctrlJob)
 	c, st, p := j.c, j.st, j.p
-	c.putJob(j)
+	c.jobs.Put(j)
 	c.slowArrived(st, p)
 }
 
@@ -830,21 +880,28 @@ func (c *CEIO) issueRead(st *flowState, p *pkt.Packet, cont uint8, idx uint64) b
 func (c *CEIO) startRead(st *flowState, p *pkt.Packet, cont uint8, idx uint64) {
 	c.m.Trace(trace.KindReadIssued, p.FlowID, p.Seq)
 	device := c.m.Cfg.NICMemLatency + c.m.NICMem.QueueDelay()
-	c.m.NICMem.Submit(p.Size, nil) // on-NIC DRAM read bandwidth
-	if c.m.Faults.LoseRead() {
-		c.m.Eng.After(c.opt.ReadTimeout, func() {
-			if st.gone {
-				c.abortRead(st, p)
-				return
-			}
-			c.ReadRetries++
-			c.startRead(st, p, cont, idx)
-		})
-		return
-	}
+	c.m.NICMem.Submit(p.Size, nil, nil) // on-NIC DRAM read bandwidth
 	j := c.getJob(st, p)
 	j.cont, j.idx = cont, idx
-	c.m.DMA.ReadTo(p.Size, device, ceioReadLanded, j)
+	if c.m.Faults.LoseRead() {
+		c.m.Eng.After(c.opt.ReadTimeout, ceioReadTimeout, j)
+		return
+	}
+	c.m.DMA.Read(p.Size, device, ceioReadLanded, j)
+}
+
+// ceioReadTimeout reissues a read whose completion was lost, or
+// surrenders it if the flow was torn down meanwhile.
+func ceioReadTimeout(arg any) {
+	j := arg.(*ctrlJob)
+	c, st, p, cont, idx := j.c, j.st, j.p, j.cont, j.idx
+	c.jobs.Put(j)
+	if st.gone {
+		c.abortRead(st, p)
+		return
+	}
+	c.ReadRetries++
+	c.startRead(st, p, cont, idx)
 }
 
 // ceioReadLanded is the DMA-read completion trampoline: host-side
@@ -852,12 +909,12 @@ func (c *CEIO) startRead(st *flowState, p *pkt.Packet, cont uint8, idx uint64) {
 func ceioReadLanded(arg any) {
 	j := arg.(*ctrlJob)
 	c, st, p, cont, idx := j.c, j.st, j.p, j.cont, j.idx
-	c.putJob(j)
+	c.jobs.Put(j)
 	if st.gone {
 		c.abortRead(st, p)
 		return
 	}
-	c.m.Uncore.Submit(p.Size, nil) // host-side landing
+	c.m.Uncore.Submit(p.Size, nil, nil) // host-side landing
 	c.m.HostBufLanded(p)
 	st.readsInFlight--
 	st.onNIC--
@@ -869,7 +926,7 @@ func ceioReadLanded(arg any) {
 		// Data landed in host DRAM; the consumer's post-processing
 		// passes (replication/logging) gate delivery, then the drain
 		// continues.
-		c.m.Mem.BulkMoveArg(p.Size*(1+st.f.PostPasses), ceioBypassMoved, c.getJob(st, p))
+		c.m.Mem.BulkMove(p.Size*(1+st.f.PostPasses), ceioBypassMoved, c.getJob(st, p))
 	}
 	c.maybeResumeFast(st)
 }
@@ -877,7 +934,7 @@ func ceioReadLanded(arg any) {
 func ceioBypassMoved(arg any) {
 	j := arg.(*ctrlJob)
 	c, st, p := j.c, j.st, j.p
-	c.putJob(j)
+	c.jobs.Put(j)
 	c.m.Deliver(st.f, p)
 	c.drainBypass(st)
 }
@@ -909,14 +966,18 @@ func (c *CEIO) drainBypass(st *flowState) {
 			// Host pool exhausted: hold the queue and retry shortly
 			// (bypass drains are event-driven, with no poll loop to
 			// retry them).
-			if st.drainFn == nil {
-				st.drainFn = func() { c.drainBypass(st) }
-			}
-			c.m.Eng.After(c.m.Cfg.PollInterval*16, st.drainFn)
+			c.m.Eng.After(c.m.Cfg.PollInterval*16, ceioDrainRetry, c.getJob(st, nil))
 			return
 		}
 		st.wqPop()
 	}
+}
+
+func ceioDrainRetry(arg any) {
+	j := arg.(*ctrlJob)
+	c, st := j.c, j.st
+	c.jobs.Put(j)
+	c.drainBypass(st)
 }
 
 // Poll implements the CEIO driver's recv()/async_recv() path (§5): flush
@@ -962,31 +1023,14 @@ func (c *CEIO) Poll(f *iosys.Flow, max int) []*pkt.Packet {
 	return out
 }
 
-// OnDelivered performs lazy credit release: when the application finishes
-// a message batch (MsgEnd), the fast-path credits its packets consumed
-// return to the flow — and debts from Algorithm 1 are settled.
+// OnDelivered returns the credits of a consumed packet (lazy release at
+// message-batch completion under Algorithm 1).
 func (c *CEIO) OnDelivered(f *iosys.Flow, p *pkt.Packet) {
 	st, ok := f.DP.(*flowState)
 	if !ok || st == nil {
 		return
 	}
-	if p.Path == pkt.PathFast {
-		switch {
-		case c.opt.MPQ != nil:
-			c.mpqReleaseOne()
-			c.maybeResumeFast(st)
-		case c.opt.LazyRelease:
-			st.unreleased++
-		default:
-			c.release(st, 1)
-			c.maybeResumeFast(st)
-		}
-	}
-	if c.opt.MPQ == nil && c.opt.LazyRelease && p.MsgEnd && st.unreleased > 0 {
-		c.release(st, st.unreleased)
-		st.unreleased = 0
-		c.maybeResumeFast(st)
-	}
+	c.adm.delivered(st, p)
 }
 
 // release forwards n freed fast-path credits from the host driver to the
@@ -1046,13 +1090,9 @@ func (c *CEIO) reconcileCredits() {
 // crashed host before reclaiming the victim's flow state: any release
 // messages lost in transit are replayed through the same ReclaimInUse
 // path the heartbeat uses, so the credits a migrating flow hands back to
-// the pool are exactly the credits Algorithm 1 granted it. No-op for the
-// MPQ strawman, which has no per-flow ledger to reconcile.
-func (c *CEIO) ReconcileNow() {
-	if c.opt.MPQ == nil {
-		c.reconcileCredits()
-	}
-}
+// the pool are exactly the credits Algorithm 1 granted it. A no-op for
+// the MPQ strawman, whose eager release never opens a release gap.
+func (c *CEIO) ReconcileNow() { c.reconcileCredits() }
 
 // maybeResumeFast re-enables the fast path once the slow path has fully
 // drained and the flow holds credits again (the phase-exclusivity rule of
@@ -1077,25 +1117,9 @@ func (c *CEIO) maybeResumeFast(st *flowState) {
 			return
 		}
 	}
-	if c.opt.MPQ != nil {
-		if c.ctrl.Total()-c.mpqInUse == 0 {
-			return
-		}
-	} else if c.ctrl.Available(st.f.ID) == 0 {
-		// Resuming without credits would demote again on the next packet,
-		// thrashing the steering rule; wait for a release or grant.
-		return
-	}
-	if c.opt.MPQ == nil && !c.tenantBudgetOK(st) {
-		// The tenant's partition budget is still fully in flight:
-		// resuming would demote again immediately. Wait for releases (or
-		// for the repartitioner to grow the tenant). Not counted as a
-		// reject — this is a gate, not an admission attempt.
-		return
-	}
-	if c.opt.MPQ == nil && !c.coreBudgetOK(st) {
-		// Likewise for the flow's rx-queue core: its share is still fully
-		// in flight, so resuming would thrash the steering rule.
+	if !c.adm.mayResume(st) {
+		// Wait for a release or grant (or for the repartitioner to grow
+		// the tenant).
 		return
 	}
 	st.mode = pkt.PathFast

@@ -63,35 +63,83 @@ func (cfg MPQConfig) ReserveFor(p, total int) int {
 	return r
 }
 
-// mpqAdmit implements fast-path admission under the MPQ scheduler: a
-// single shared credit pool with per-priority reserves, eager release.
-func (c *CEIO) mpqAdmit(st *flowState, p *pkt.Packet) bool {
-	cfg := *c.opt.MPQ
-	ms := c.mpqOf(st)
-	ms.sentBytes += uint64(p.Size)
-	ms.priority = cfg.PriorityOf(ms.sentBytes)
-	available := c.ctrl.Total() - c.mpqInUse
-	if available <= cfg.ReserveFor(ms.priority, c.ctrl.Total()) {
-		return false
-	}
-	c.mpqInUse++
-	return true
+// admission is the fast-path admission policy behind the NIC-entrance
+// decision. CEIO runs Algorithm 1's per-flow credit accounts
+// (creditAdmission, ceio.go); Options.MPQ swaps in the strawman below.
+// New selects one through newAdmission, and the datapath calls only
+// these hooks.
+type admission interface {
+	// start arms the policy's periodic timers when the datapath attaches.
+	start()
+	// startFaults arms the timers fault injection needs.
+	startFaults()
+	// admit takes a fast-path credit for p, or reports false to divert p
+	// to the slow path.
+	admit(st *flowState, p *pkt.Packet) bool
+	// unadmit returns the credit of an admitted packet that could not
+	// take the fast path after all.
+	unadmit(st *flowState)
+	// delivered returns credits once the application has consumed p.
+	delivered(st *flowState, p *pkt.Packet)
+	// mayResume reports whether a drained slow-path flow may return to
+	// the fast path.
+	mayResume(st *flowState) bool
 }
 
-// mpqReleaseOne returns one shared credit on delivery (eager release —
-// MPQ has no message-batch semantics).
-func (c *CEIO) mpqReleaseOne() {
-	if c.mpqInUse > 0 {
-		c.mpqInUse--
+// newAdmission selects the admission policy from c's options.
+func newAdmission(c *CEIO) admission {
+	if c.opt.MPQ != nil {
+		return &mpqAdmission{c: c, cfg: c.opt.MPQ}
 	}
+	return creditAdmission{c}
 }
 
-// mpqOf lazily attaches MPQ state to a flow.
-func (c *CEIO) mpqOf(st *flowState) *mpqState {
+// mpqAdmission is the MPQ scheduler: a single shared credit pool with
+// per-priority reserves and eager release. It arms no timers: the pool
+// has no per-flow accounts to reallocate or reconcile.
+type mpqAdmission struct {
+	c     *CEIO
+	cfg   *MPQConfig
+	inUse int // shared credits consumed
+}
+
+func (a *mpqAdmission) start()       {}
+func (a *mpqAdmission) startFaults() {}
+
+func (a *mpqAdmission) admit(st *flowState, p *pkt.Packet) bool {
 	if st.mpq == nil {
 		st.mpq = &mpqState{}
 	}
-	return st.mpq
+	ms := st.mpq
+	ms.sentBytes += uint64(p.Size)
+	ms.priority = a.cfg.PriorityOf(ms.sentBytes)
+	total := a.c.ctrl.Total()
+	if total-a.inUse <= a.cfg.ReserveFor(ms.priority, total) {
+		return false
+	}
+	a.inUse++
+	return true
+}
+
+func (a *mpqAdmission) unadmit(st *flowState) { a.releaseOne() }
+
+// delivered returns one shared credit per fast-path packet (eager
+// release: MPQ has no message-batch semantics).
+func (a *mpqAdmission) delivered(st *flowState, p *pkt.Packet) {
+	if p.Path == pkt.PathFast {
+		a.releaseOne()
+		a.c.maybeResumeFast(st)
+	}
+}
+
+func (a *mpqAdmission) mayResume(st *flowState) bool {
+	return a.c.ctrl.Total()-a.inUse != 0
+}
+
+func (a *mpqAdmission) releaseOne() {
+	if a.inUse > 0 {
+		a.inUse--
+	}
 }
 
 // FlowPriority reports a flow's current PIAS priority under the MPQ

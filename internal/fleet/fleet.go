@@ -248,7 +248,7 @@ func (h *Host) sortedLocal() []int {
 // scheduleCrash arms the next crash edge of the host_crash episode on
 // the host's own shard.
 func (h *Host) scheduleCrash(ep faults.Episode) {
-	h.eng.At(ep.NextStart(h.eng.Now()), func() { h.crash(ep) })
+	h.eng.At(ep.NextStart(h.eng.Now()), func(any) { h.crash(ep) }, nil)
 }
 
 // crash fires a host-crash edge: the host stops generating (its flows
@@ -265,7 +265,7 @@ func (h *Host) crash(ep faults.Episode) {
 	for _, id := range h.sortedLocal() {
 		h.M.PauseFlow(id)
 	}
-	h.eng.At(ep.EndAt(h.eng.Now()), func() { h.recover(ep) })
+	h.eng.At(ep.EndAt(h.eng.Now()), func(any) { h.recover(ep) }, nil)
 }
 
 // recover fires the host-recover edge: every flow still installed
@@ -495,10 +495,10 @@ func (f *Fleet) barrier(t sim.Time) {
 		m := d.Msg.Payload.(netMsg)
 		if d.Msg.Dst == f.ctlPort {
 			src := d.Msg.Src
-			f.Eng.At(d.At, func() { f.ctlRecv(src, m) })
+			f.Eng.At(d.At, func(any) { f.ctlRecv(src, m) }, nil)
 		} else {
 			h := f.hosts[d.Msg.Dst]
-			h.eng.At(d.At, func() { f.hostRecv(h, m) })
+			h.eng.At(d.At, func(any) { f.hostRecv(h, m) }, nil)
 		}
 	}
 
@@ -699,7 +699,7 @@ func (f *Fleet) armMigration(id int, p *placement) {
 	p.epoch++
 	p.tries++
 	epoch := p.epoch
-	f.Eng.After(f.Cfg.MigrationRTT, func() { f.tryMigrate(id, epoch) })
+	f.Eng.After(f.Cfg.MigrationRTT, func(any) { f.tryMigrate(id, epoch) }, nil)
 }
 
 // tryMigrate runs one step of the two-phase migration handshake: drain
@@ -743,11 +743,11 @@ func (f *Fleet) sendDrain(id int, p *placement) {
 	p.tries++
 	epoch, tries := p.epoch, p.tries
 	f.ctlSend(p.host, drainReqBytes, netMsg{kind: kDrainReq, flow: id, seq: epoch, tries: tries})
-	f.Eng.After(f.Cfg.HandshakeTimeout, func() {
+	f.Eng.After(f.Cfg.HandshakeTimeout, func(any) {
 		if p.migrating && p.epoch == epoch && p.tries == tries {
 			f.retryMigrate(id, p)
 		}
-	})
+	}, nil)
 }
 
 // sendEstablish transmits the establish leg to the fixed target and
@@ -759,7 +759,7 @@ func (f *Fleet) sendEstablish(id int, p *placement) {
 	epoch, tries := p.epoch, p.tries
 	f.ctlSend(p.target, establishReqBytes,
 		netMsg{kind: kEstablishReq, flow: id, seq: epoch, tries: tries, spec: p.spec})
-	f.Eng.After(f.Cfg.HandshakeTimeout, func() {
+	f.Eng.After(f.Cfg.HandshakeTimeout, func(any) {
 		if !p.migrating || p.epoch != epoch || p.tries != tries {
 			return
 		}
@@ -769,7 +769,7 @@ func (f *Fleet) sendEstablish(id int, p *placement) {
 			p.drained = false
 		}
 		f.retryMigrate(id, p)
-	})
+	}, nil)
 }
 
 // onDrainAck advances the handshake past the drain leg: the old copy is
@@ -840,7 +840,7 @@ func (f *Fleet) retryMigrate(id int, p *placement) {
 	}
 	backoff := f.Cfg.RetryBase << (p.attempts - 1)
 	epoch := p.epoch
-	f.Eng.After(backoff, func() { f.tryMigrate(id, epoch) })
+	f.Eng.After(backoff, func(any) { f.tryMigrate(id, epoch) }, nil)
 }
 
 // --- placement ------------------------------------------------------------

@@ -26,12 +26,8 @@ type Core struct {
 	running    bool
 	idleStreak int
 
-	// loopFn / serveFn are the loop's persistent scheduling callbacks,
-	// built once at first start so steady-state polling does not allocate.
 	// A core processes one batch at a time, so the in-flight batch rides
 	// in the fields below between the poll and its service completion.
-	loopFn    func()
-	serveFn   func()
 	batch     []*pkt.Packet
 	batchFlow *Flow
 	batchCost sim.Time
@@ -93,16 +89,18 @@ func (c *Core) start() {
 	if c.running {
 		return
 	}
-	if c.loopFn == nil {
-		c.loopFn = c.loop
-		c.serveFn = c.serveBatch
-	}
 	c.running = true
 	c.idleStreak = 0
-	c.m.Eng.After(0, c.loopFn)
+	c.m.Eng.After(0, coreLoop, c)
 }
 
 func (c *Core) stop() { c.running = false }
+
+// coreLoop and coreServe are the poll loop's scheduling trampolines: the
+// core rides as the event argument, so steady-state polling does not
+// allocate.
+func coreLoop(arg any)  { arg.(*Core).loop() }
+func coreServe(arg any) { arg.(*Core).serveBatch() }
 
 func (c *Core) loop() {
 	if !c.running || len(c.flows) == 0 {
@@ -134,7 +132,7 @@ func (c *Core) loop() {
 		if backoff > maxIdleBackoff {
 			backoff = maxIdleBackoff
 		}
-		c.m.Eng.After(c.m.Cfg.PollInterval*sim.Time(backoff), c.loopFn)
+		c.m.Eng.After(c.m.Cfg.PollInterval*sim.Time(backoff), coreLoop, c)
 		return
 	}
 	c.idleStreak = 0
@@ -149,7 +147,7 @@ func (c *Core) loop() {
 		total += stall
 	}
 	c.batch, c.batchFlow, c.batchCost = batch, flow, total
-	c.m.Eng.After(total, c.serveFn)
+	c.m.Eng.After(total, coreServe, c)
 }
 
 // serveBatch completes the in-flight batch after its modelled CPU time:

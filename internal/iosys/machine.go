@@ -95,10 +95,10 @@ type Machine struct {
 	// no descriptors (the engine-side counterpart is the timing wheel's
 	// record pool).
 	PktPool *pkt.Pool
-	// freeRx / freeDMA are carrier free lists for the zero-alloc event
+	// rxJobs / dmaJobs are carrier free lists for the zero-alloc event
 	// plumbing of the rx path; see rxJob and dmaJob.
-	freeRx  *rxJob
-	freeDMA *dmaJob
+	rxJobs  sim.Carriers[rxJob]
+	dmaJobs sim.Carriers[dmaJob]
 
 	// HostPool bounds host I/O buffers when Config.HostBuffers > 0
 	// (nil otherwise). NoHostBufDrops counts packets lost to exhaustion.
@@ -490,19 +490,14 @@ func (m *Machine) scheduleNextPacket(f *Flow) {
 	if gap < 1 {
 		gap = 1
 	}
-	if f.pace == nil {
-		// The pacing and burst-resume callbacks are built once per flow
-		// and rescheduled by reference, so steady-state pacing never
-		// allocates a closure.
-		f.pace = func() { m.paceTick(f) }
-		f.paceResume = func() { m.scheduleNextPacket(f) }
-	}
-	m.Eng.After(gap, f.pace)
+	m.Eng.After(gap, paceTick, f)
 }
 
 // paceTick is the generator's per-packet tick: burst shaping, window
 // gating, then emission.
-func (m *Machine) paceTick(f *Flow) {
+func paceTick(arg any) {
+	f := arg.(*Flow)
+	m := f.m
 	if !f.Active() {
 		return
 	}
@@ -513,7 +508,7 @@ func (m *Machine) paceTick(f *Flow) {
 		cycle := f.BurstOn + f.BurstOff
 		pos := m.Eng.Now() % cycle
 		if pos >= f.BurstOn {
-			m.Eng.After(cycle-pos, f.paceResume)
+			m.Eng.After(cycle-pos, paceResume, f)
 			return
 		}
 	}
@@ -530,6 +525,12 @@ func (m *Machine) paceTick(f *Flow) {
 	m.scheduleNextPacket(f)
 }
 
+// paceResume restarts a generator parked through a burst's off phase.
+func paceResume(arg any) {
+	f := arg.(*Flow)
+	f.m.scheduleNextPacket(f)
+}
+
 // windowOpened resumes a generator parked on a closed window.
 func (m *Machine) windowOpened(f *Flow) {
 	if f.windowBlocked && f.Active() {
@@ -540,29 +541,17 @@ func (m *Machine) windowOpened(f *Flow) {
 
 // rxJob carries one packet's (machine, flow, packet) context through the
 // wire-serialisation and NIC-pipeline stages. Pool-recycled so the rx
-// path schedules with AtArg instead of allocating a closure per stage.
+// path schedules a carrier instead of allocating a closure per stage.
 type rxJob struct {
-	m    *Machine
-	f    *Flow
-	p    *pkt.Packet
-	then func() // optional continuation (ConsumeBypass)
-	next *rxJob
+	m *Machine
+	f *Flow
+	p *pkt.Packet
 }
 
 func (m *Machine) getRxJob(f *Flow, p *pkt.Packet) *rxJob {
-	j := m.freeRx
-	if j == nil {
-		j = &rxJob{}
-	} else {
-		m.freeRx = j.next
-	}
-	j.m, j.f, j.p, j.then, j.next = m, f, p, nil, nil
+	j := m.rxJobs.Get()
+	j.m, j.f, j.p = m, f, p
 	return j
-}
-
-func (m *Machine) putRxJob(j *rxJob) {
-	*j = rxJob{next: m.freeRx}
-	m.freeRx = j
 }
 
 // emit injects one packet onto the wire toward the NIC.
@@ -589,7 +578,7 @@ func (m *Machine) emit(f *Flow) {
 	if m.RxWire.QueueDelay() > m.Cfg.MarkThreshold {
 		p.Marked = true
 	}
-	m.RxWire.SubmitArg(p.Size+m.Cfg.EthOverhead, wireArrived, m.getRxJob(f, p))
+	m.RxWire.Submit(p.Size+m.Cfg.EthOverhead, wireArrived, m.getRxJob(f, p))
 }
 
 // wireArrived fires when a frame finishes serialising through the rx
@@ -605,18 +594,18 @@ func wireArrived(arg any) {
 	case faults.VerdictDrop:
 		m.FaultDrops++
 		m.Trace(trace.KindFault, p.FlowID, p.Seq)
-		m.putRxJob(j)
+		m.rxJobs.Put(j)
 		m.Drop(f, p)
 		return
 	case faults.VerdictCorrupt:
 		m.FaultCorrupts++
 		m.Trace(trace.KindFault, p.FlowID, p.Seq)
-		m.putRxJob(j)
+		m.rxJobs.Put(j)
 		m.Drop(f, p)
 		return
 	}
 	m.Trace(trace.KindArrive, p.FlowID, p.Seq)
-	m.Eng.AfterArg(m.Cfg.NICPipelineCost, nicIngress, j)
+	m.Eng.After(m.Cfg.NICPipelineCost, nicIngress, j)
 }
 
 // nicIngress hands the packet to the datapath after the NIC pipeline
@@ -624,7 +613,7 @@ func wireArrived(arg any) {
 func nicIngress(arg any) {
 	j := arg.(*rxJob)
 	m, f, p := j.m, j.f, j.p
-	m.putRxJob(j)
+	m.rxJobs.Put(j)
 	m.DP.Ingress(f, p)
 }
 
@@ -632,54 +621,30 @@ func nicIngress(arg any) {
 // commit, landed continuation) without per-stage closures; pooled like
 // rxJob.
 type dmaJob struct {
-	m    *Machine
-	p    *pkt.Packet
-	fn   func(any) // landed continuation
-	arg  any
-	w    *pcie.Write
-	next *dmaJob
-}
-
-func (m *Machine) getDMAJob(p *pkt.Packet, fn func(any), arg any) *dmaJob {
-	j := m.freeDMA
-	if j == nil {
-		j = &dmaJob{}
-	} else {
-		m.freeDMA = j.next
-	}
-	j.m, j.p, j.fn, j.arg, j.w, j.next = m, p, fn, arg, nil, nil
-	return j
-}
-
-func (m *Machine) putDMAJob(j *dmaJob) {
-	*j = dmaJob{next: m.freeDMA}
-	m.freeDMA = j
+	m   *Machine
+	p   *pkt.Packet
+	fn  func(any) // landed continuation
+	arg any
 }
 
 // DMAToHost carries p over PCIe, commits it through the IIO into the
-// DDIO region of the LLC, and invokes landed. Evictions of older
+// DDIO region of the LLC, and invokes landed(arg) once the packet's lines
+// are committed (a nil landed skips the continuation). Evictions of older
 // unconsumed I/O buffers write back to DRAM and delay the commit by the
 // memory controller's backlog — the host-congestion coupling HostCC's
 // IIO signal detects.
-func (m *Machine) DMAToHost(p *pkt.Packet, landed func()) {
-	m.DMAToHostArg(p, callLanded, landed)
-}
-
-func callLanded(arg any) { arg.(func())() }
-
-// DMAToHostArg is the allocation-free form of DMAToHost: landed(arg)
-// fires once the packet's lines are committed into the LLC.
-func (m *Machine) DMAToHostArg(p *pkt.Packet, landed func(any), arg any) {
-	m.DMA.WriteTo(p.Size, dmaArrived, m.getDMAJob(p, landed, arg))
+func (m *Machine) DMAToHost(p *pkt.Packet, landed func(any), arg any) {
+	j := m.dmaJobs.Get()
+	j.m, j.p, j.fn, j.arg = m, p, landed, arg
+	m.DMA.Write(p.Size, dmaArrived, j)
 }
 
 // dmaArrived fires at the head of the IIO: the packet's lines commit
 // into the DDIO region, evictions write back, and the uncore port clocks
 // the commit latency.
-func dmaArrived(arg any, w *pcie.Write) {
+func dmaArrived(arg any) {
 	j := arg.(*dmaJob)
 	m, p := j.m, j.p
-	j.w = w
 	// An in-flight packet pins a whole pooled I/O buffer's worth of
 	// cache: DDIO rewrites only the packet's lines, but buffer-pool
 	// recycling leaves the rest of the 2KB buffer's lines resident
@@ -693,8 +658,8 @@ func dmaArrived(arg any, w *pcie.Write) {
 	// memory bandwidth (and thereby inflating CPU miss latency and
 	// slowing bulk moves) without stalling the DDIO commit itself.
 	m.writebackEvicted(evicted)
-	m.Uncore.Submit(p.Size, nil)
-	m.Eng.AfterArg(m.Uncore.QueueDelay(), dmaCommitted, j)
+	m.Uncore.Submit(p.Size, nil, nil)
+	m.Eng.After(m.Uncore.QueueDelay(), dmaCommitted, j)
 }
 
 // dmaCommitted finalises the DMA: the packet is resident, the IIO slot
@@ -705,10 +670,12 @@ func dmaCommitted(arg any) {
 	p.Landed = true
 	m.HostBufLanded(p)
 	m.Trace(trace.KindLanded, p.FlowID, p.Seq)
-	w, fn, farg := j.w, j.fn, j.arg
-	m.putDMAJob(j)
-	w.Done()
-	fn(farg)
+	fn, farg := j.fn, j.arg
+	m.dmaJobs.Put(j)
+	m.DMA.Absorbed(p.Size)
+	if fn != nil {
+		fn(farg)
+	}
 }
 
 // writebackEvicted charges DRAM writebacks for buffers evicted from the
@@ -799,14 +766,20 @@ func (m *Machine) BufSize(id cache.BufID) int { return int(m.LLC.PayloadOf(id)) 
 // lines are NOT freed — a write-back cache keeps them resident (dirty)
 // until later DDIO insertions evict them, which is how sustained bypass
 // traffic flushes CPU-involved flows' packets out of the LLC (§2.2).
-func (m *Machine) ConsumeBypass(f *Flow, p *pkt.Packet, then func()) {
+func (m *Machine) ConsumeBypass(f *Flow, p *pkt.Packet) { consumeBypass(m.getRxJob(f, p)) }
+
+// DMAToHostAndConsume is DMAToHost followed, once the packet lands, by
+// ConsumeBypass: the whole host side of a CPU-bypass packet.
+func (m *Machine) DMAToHostAndConsume(f *Flow, p *pkt.Packet) {
+	m.DMAToHost(p, consumeBypass, m.getRxJob(f, p))
+}
+
+func consumeBypass(arg any) {
+	j := arg.(*rxJob)
 	// The consumer's post-processing passes (LineFS replication and
 	// logging) multiply the memory traffic per received byte and gate
 	// delivery, so a DFS under load becomes memory-bandwidth-bound.
-	moved := p.Size * (1 + f.PostPasses)
-	j := m.getRxJob(f, p)
-	j.then = then
-	m.Mem.BulkMoveArg(moved, bypassMoved, j)
+	j.m.Mem.BulkMove(j.p.Size*(1+j.f.PostPasses), bypassMoved, j)
 }
 
 // bypassMoved fires when the memory controller finishes streaming a
@@ -814,8 +787,8 @@ func (m *Machine) ConsumeBypass(f *Flow, p *pkt.Packet, then func()) {
 // and deliver.
 func bypassMoved(arg any) {
 	j := arg.(*rxJob)
-	m, f, p, then := j.m, j.f, j.p, j.then
-	m.putRxJob(j)
+	m, f, p := j.m, j.f, j.p
+	m.rxJobs.Put(j)
 	hit := m.LLC.ProbeIn(p.Part, p.Buf)
 	if m.Tenants != nil {
 		m.Tenants.Account(f.tenantIdx, hit)
@@ -826,9 +799,6 @@ func bypassMoved(arg any) {
 		m.Mem.Writeback(p.Size)
 	}
 	m.Deliver(f, p)
-	if then != nil {
-		then()
-	}
 }
 
 // PacketCPUCost computes the CPU time to process one packet on a core:

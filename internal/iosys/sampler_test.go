@@ -53,7 +53,7 @@ func TestSamplerRebaselinesAfterReset(t *testing.T) {
 	m := iosys.NewMachine(iosys.DefaultConfig(), baseline.NewLegacy())
 	m.AddFlow(echoSpec(1, 1024))
 	s := iosys.NewSampler(m, sim.Millisecond)
-	m.Eng.At(2500*sim.Microsecond, func() { m.ResetWindow() })
+	m.Eng.At(2500*sim.Microsecond, func(any) { m.ResetWindow() }, nil)
 	m.Run(5 * sim.Millisecond)
 	// The tick at 3ms lands after the reset and is skipped (re-baseline);
 	// four samples remain, all with sane rates.
@@ -72,7 +72,7 @@ func TestSamplerStopHaltsTicks(t *testing.T) {
 	m := iosys.NewMachine(iosys.DefaultConfig(), baseline.NewLegacy())
 	m.AddFlow(echoSpec(1, 1024))
 	s := iosys.NewSampler(m, sim.Millisecond)
-	m.Eng.At(2500*sim.Microsecond, s.Stop)
+	m.Eng.At(2500*sim.Microsecond, func(any) { s.Stop() }, nil)
 	m.Run(5 * sim.Millisecond)
 	if n := len(s.InvolvedMpps.Points); n != 2 {
 		t.Fatalf("recorded %d samples after Stop at 2.5ms, want 2", n)

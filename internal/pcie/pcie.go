@@ -59,15 +59,9 @@ func (l *Link) WireBytes(size int) int {
 	return size + tlps*l.cfg.TLPHeader
 }
 
-// Transfer clocks a transfer across the link; done fires on arrival.
-func (l *Link) Transfer(size int, done func()) sim.Time {
-	return l.srv.Submit(l.WireBytes(size), done)
-}
-
-// TransferArg is the allocation-free variant of Transfer: fn(arg) fires
-// on arrival.
-func (l *Link) TransferArg(size int, fn func(any), arg any) sim.Time {
-	return l.srv.SubmitArg(l.WireBytes(size), fn, arg)
+// Transfer clocks a transfer across the link; fn(arg) fires on arrival.
+func (l *Link) Transfer(size int, fn func(any), arg any) sim.Time {
+	return l.srv.Submit(l.WireBytes(size), fn, arg)
 }
 
 // QueueDelay reports current serialisation backlog on the link.
@@ -79,7 +73,7 @@ func (l *Link) Utilization() float64 { return l.srv.Utilization() }
 // Engine models the NIC's DMA engine: a bounded pool of outstanding
 // write credits toward the host. Writes traverse the NIC->host link, stage
 // into the IIO buffer, and hold their credit until the host memory
-// subsystem absorbs them (the deliver callback's done function).
+// subsystem absorbs them (Absorbed).
 type Engine struct {
 	eng    *sim.Engine
 	toHost *Link
@@ -88,13 +82,13 @@ type Engine struct {
 
 	writeCredits int
 	maxCredits   int
-	pendingW     []*Write
+	pendingW     []*writeOp
 
 	// iioWaiting parks writes rejected by a full IIO until it drains.
-	iioWaiting []*Write
+	iioWaiting []*writeOp
 
-	// freeW is the write-carrier free list; see allocWrite.
-	freeW *Write
+	// writes is the write-carrier free list.
+	writes sim.Carriers[writeOp]
 
 	// Read-tag pool: PCIe non-posted reads carry a bounded number of
 	// outstanding tags; excess read requests queue. This is the
@@ -104,8 +98,8 @@ type Engine struct {
 	maxReads    int
 	pendingR    []*readOp
 
-	// freeR is the read-carrier free list; see allocRead.
-	freeR *readOp
+	// reads is the read-carrier free list.
+	reads sim.Carriers[readOp]
 
 	// Faults, when set, injects DMA stall episodes: new writes and reads
 	// are held until the stall window ends (PCIe credit exhaustion).
@@ -129,32 +123,15 @@ type readOp struct {
 	deviceLatency sim.Time
 	fn            func(any)
 	arg           any
-	next          *readOp
 }
 
-// Write is one in-flight DMA write: a pool-recycled carrier that rides
+// writeOp is one in-flight DMA write: a pool-recycled carrier that rides
 // the engine's event queue from issue to IIO arrival without allocating.
-// The deliver callback receives it and must call Done exactly once when
-// the host memory subsystem has absorbed the data — that drains the IIO,
-// releases the DMA credit, and recycles the carrier.
-type Write struct {
-	d       *Engine
-	size    int
-	deliver func(arg any, w *Write)
-	arg     any
-	next    *Write
-}
-
-// Done signals that the host absorbed the write: the IIO slot drains,
-// the DMA credit frees (admitting a queued write, if any), and parked
-// IIO-backpressured writes retry.
-func (w *Write) Done() {
-	d := w.d
-	size := w.size
-	d.freeWrite(w)
-	d.iio.Drain(int64(size))
-	d.releaseWriteCredit()
-	d.retryIIOWaiters()
+type writeOp struct {
+	d    *Engine
+	size int
+	fn   func(any)
+	arg  any
 }
 
 // NewEngine builds a DMA engine with maxOutstanding write credits and a
@@ -185,53 +162,36 @@ func (d *Engine) OutstandingReads() int { return d.maxReads - d.readCredits }
 // OutstandingWrites reports write credits currently in use.
 func (d *Engine) OutstandingWrites() int { return d.maxCredits - d.writeCredits }
 
-// --- write carrier pool --------------------------------------------------
-
-func (d *Engine) allocWrite(size int, deliver func(any, *Write), arg any) *Write {
-	w := d.freeW
-	if w == nil {
-		w = &Write{}
-	} else {
-		d.freeW = w.next
-	}
-	*w = Write{d: d, size: size, deliver: deliver, arg: arg}
-	return w
+// Write issues a DMA write of size bytes toward the host. fn(arg) runs
+// when the data reaches the head of the IIO buffer; the host memory
+// subsystem must then call Absorbed(size) exactly once, when it has
+// absorbed the data. Like the engine's At, the long-lived fn plus
+// explicit arg make a steady-state write allocation-free.
+func (d *Engine) Write(size int, fn func(any), arg any) {
+	w := d.writes.Get()
+	*w = writeOp{d: d, size: size, fn: fn, arg: arg}
+	issueWrite(w)
 }
 
-// freeWrite recycles a carrier, dropping its callback and argument so the
-// pool never retains dead captures.
-func (d *Engine) freeWrite(w *Write) {
-	*w = Write{next: d.freeW}
-	d.freeW = w
+// Absorbed signals that the host absorbed a delivered write of size
+// bytes: the IIO slot drains, the DMA credit frees (admitting a queued
+// write, if any), and parked IIO-backpressured writes retry.
+func (d *Engine) Absorbed(size int) {
+	d.iio.Drain(int64(size))
+	d.releaseWriteCredit()
+	d.retryIIOWaiters()
 }
 
-// WriteTo issues a DMA write of size bytes toward the host. deliver(arg,
-// w) is invoked when the data reaches the head of the IIO buffer; the
-// host memory subsystem must call w.Done once it has absorbed the data.
-// Like the engine's AtArg, the long-lived deliver func plus explicit arg
-// make a steady-state write allocation-free.
-func (d *Engine) WriteTo(size int, deliver func(arg any, w *Write), arg any) {
-	w := d.allocWrite(size, deliver, arg)
-	if end := d.Faults.DMAStallEnd(d.eng.Now()); end > 0 {
-		d.FaultStalls++
-		d.eng.AtArg(end, retryWrite, w)
-		return
-	}
-	d.issueWrite(w)
-}
-
-func retryWrite(arg any) {
-	w := arg.(*Write)
+// issueWrite holds a write through any injected DMA stall, then takes a
+// write credit or queues for one.
+func issueWrite(arg any) {
+	w := arg.(*writeOp)
 	d := w.d
 	if end := d.Faults.DMAStallEnd(d.eng.Now()); end > 0 {
 		d.FaultStalls++
-		d.eng.AtArg(end, retryWrite, w)
+		d.eng.At(end, issueWrite, w)
 		return
 	}
-	d.issueWrite(w)
-}
-
-func (d *Engine) issueWrite(w *Write) {
 	if d.writeCredits == 0 {
 		d.CreditStalls++
 		d.pendingW = append(d.pendingW, w)
@@ -239,26 +199,12 @@ func (d *Engine) issueWrite(w *Write) {
 	}
 	d.writeCredits--
 	d.Writes++
-	d.toHost.TransferArg(w.size, writeArrived, w)
+	d.toHost.Transfer(w.size, writeArrived, w)
 }
 
 func writeArrived(arg any) {
-	w := arg.(*Write)
-	w.d.arriveAtIIO(w)
-}
-
-// Write is the closure-based convenience form of WriteTo: deliver fires
-// at the IIO head with a done func that forwards to Write.Done. Hot
-// paths should prefer WriteTo, which allocates nothing in steady state.
-func (d *Engine) Write(size int, deliver func(done func())) {
-	d.WriteTo(size, legacyDeliver, deliver)
-}
-
-func legacyDeliver(arg any, w *Write) {
-	arg.(func(done func()))(w.Done)
-}
-
-func (d *Engine) arriveAtIIO(w *Write) {
+	w := arg.(*writeOp)
+	d := w.d
 	if !d.iio.TryEnqueue(int64(w.size)) {
 		// IIO full: the root complex exerts backpressure. Park the write;
 		// it is retried whenever the IIO drains.
@@ -266,7 +212,15 @@ func (d *Engine) arriveAtIIO(w *Write) {
 		d.iioWaiting = append(d.iioWaiting, w)
 		return
 	}
-	w.deliver(w.arg, w)
+	d.deliver(w)
+}
+
+// deliver hands a write at the IIO head to its callback, recycling the
+// carrier first.
+func (d *Engine) deliver(w *writeOp) {
+	fn, arg := w.fn, w.arg
+	d.writes.Put(w)
+	fn(arg)
 }
 
 func (d *Engine) releaseWriteCredit() {
@@ -277,7 +231,7 @@ func (d *Engine) releaseWriteCredit() {
 		d.pendingW = d.pendingW[1:]
 		d.writeCredits--
 		d.Writes++
-		d.toHost.TransferArg(next.size, writeArrived, next)
+		d.toHost.Transfer(next.size, writeArrived, next)
 	}
 }
 
@@ -289,59 +243,35 @@ func (d *Engine) retryIIOWaiters() {
 		}
 		d.iioWaiting[0] = nil
 		d.iioWaiting = d.iioWaiting[1:]
-		w.deliver(w.arg, w)
+		d.deliver(w)
 	}
 }
 
-// --- read carrier pool ---------------------------------------------------
-
-func (d *Engine) allocRead(size int, deviceLatency sim.Time, fn func(any), arg any) *readOp {
-	r := d.freeR
-	if r == nil {
-		r = &readOp{}
-	} else {
-		d.freeR = r.next
-	}
-	*r = readOp{d: d, size: size, deviceLatency: deviceLatency, fn: fn, arg: arg}
-	return r
-}
-
-func (d *Engine) freeRead(r *readOp) {
-	*r = readOp{next: d.freeR}
-	d.freeR = r
-}
-
-// ReadTo issues a DMA read of size bytes from device memory into the host
+// Read issues a DMA read of size bytes from device memory into the host
 // (the CEIO slow-path fetch). The request header crosses to the NIC, the
 // device serves it (deviceLatency covers on-NIC memory access and any
 // internal switch traversal), and the payload crosses back. fn(arg) fires
 // when the payload lands in host memory. Reads beyond the tag pool queue
 // FIFO — the shared bottleneck that caps aggregate slow-path throughput
-// when many flows drain concurrently. Like the engine's AtArg, the
+// when many flows drain concurrently. Like the engine's At, the
 // long-lived fn plus explicit arg make a steady-state read
 // allocation-free.
-func (d *Engine) ReadTo(size int, deviceLatency sim.Time, fn func(any), arg any) {
-	r := d.allocRead(size, deviceLatency, fn, arg)
-	if end := d.Faults.DMAStallEnd(d.eng.Now()); end > 0 {
-		d.FaultStalls++
-		d.eng.AtArg(end, retryRead, r)
-		return
-	}
-	d.issueRead(r)
+func (d *Engine) Read(size int, deviceLatency sim.Time, fn func(any), arg any) {
+	r := d.reads.Get()
+	*r = readOp{d: d, size: size, deviceLatency: deviceLatency, fn: fn, arg: arg}
+	issueRead(r)
 }
 
-func retryRead(arg any) {
+// issueRead holds a read through any injected DMA stall, then takes a
+// read tag or queues for one.
+func issueRead(arg any) {
 	r := arg.(*readOp)
 	d := r.d
 	if end := d.Faults.DMAStallEnd(d.eng.Now()); end > 0 {
 		d.FaultStalls++
-		d.eng.AtArg(end, retryRead, r)
+		d.eng.At(end, issueRead, r)
 		return
 	}
-	d.issueRead(r)
-}
-
-func (d *Engine) issueRead(r *readOp) {
 	if d.readCredits == 0 {
 		d.ReadStalls++
 		d.pendingR = append(d.pendingR, r)
@@ -351,35 +281,27 @@ func (d *Engine) issueRead(r *readOp) {
 	d.startRead(r)
 }
 
-// Read is the closure-based convenience form of ReadTo. Hot paths should
-// prefer ReadTo, which allocates nothing in steady state.
-func (d *Engine) Read(size int, deviceLatency sim.Time, done func()) {
-	d.ReadTo(size, deviceLatency, legacyReadDone, done)
-}
-
-func legacyReadDone(arg any) { arg.(func())() }
-
 func (d *Engine) startRead(r *readOp) {
 	d.Reads++
 	// Request TLP toward the NIC.
-	d.toNIC.TransferArg(32, readReqArrived, r)
+	d.toNIC.Transfer(32, readReqArrived, r)
 }
 
 func readReqArrived(arg any) {
 	r := arg.(*readOp)
-	r.d.eng.AfterArg(r.deviceLatency, readDeviceServed, r)
+	r.d.eng.After(r.deviceLatency, readDeviceServed, r)
 }
 
 func readDeviceServed(arg any) {
 	r := arg.(*readOp)
-	r.d.toHost.TransferArg(r.size, readPayloadLanded, r)
+	r.d.toHost.Transfer(r.size, readPayloadLanded, r)
 }
 
 func readPayloadLanded(arg any) {
 	r := arg.(*readOp)
 	d := r.d
 	fn, farg := r.fn, r.arg
-	d.freeRead(r)
+	d.reads.Put(r)
 	fn(farg)
 	d.readCredits++
 	if len(d.pendingR) > 0 && d.readCredits > 0 {

@@ -33,7 +33,7 @@ func TestLinkTransferTiming(t *testing.T) {
 	eng := sim.NewEngine(1)
 	l, _ := testLinks(eng)
 	var at sim.Time
-	l.Transfer(256, func() { at = eng.Now() })
+	l.Transfer(256, func(any) { at = eng.Now() }, nil)
 	eng.Run()
 	// 280 wire bytes at 1 B/ns + 100ns propagation.
 	if at != 380 {
@@ -47,13 +47,13 @@ func TestDMAWriteDeliversThroughIIO(t *testing.T) {
 	iio := cache.NewIIO(4096)
 	d := NewEngine(eng, toHost, toNIC, iio, 4)
 	delivered := 0
-	d.Write(1024, func(done func()) {
+	d.Write(1024, func(any) {
 		delivered++
 		if iio.Occupancy() != 1024 {
 			t.Fatalf("IIO occupancy = %d during delivery", iio.Occupancy())
 		}
-		eng.After(50, done)
-	})
+		eng.After(50, func(any) { d.Absorbed(1024) }, nil)
+	}, nil)
 	eng.Run()
 	if delivered != 1 {
 		t.Fatal("write not delivered")
@@ -72,13 +72,10 @@ func TestDMACreditExhaustionQueues(t *testing.T) {
 	iio := cache.NewIIO(1 << 20)
 	d := NewEngine(eng, toHost, toNIC, iio, 2)
 	var order []int
-	slowDone := []func(){}
 	for i := 0; i < 4; i++ {
 		i := i
-		d.Write(100, func(done func()) {
-			order = append(order, i)
-			slowDone = append(slowDone, done) // hold credits until released manually
-		})
+		// Delivered writes hold their credits until absorbed manually.
+		d.Write(100, func(any) { order = append(order, i) }, nil)
 	}
 	eng.Run()
 	if len(order) != 2 {
@@ -88,13 +85,13 @@ func TestDMACreditExhaustionQueues(t *testing.T) {
 		t.Fatalf("credit stalls = %d, want 2", d.CreditStalls)
 	}
 	// Release one: the third write should proceed.
-	slowDone[0]()
+	d.Absorbed(100)
 	eng.Run()
 	if len(order) != 3 || order[2] != 2 {
 		t.Fatalf("after release, order = %v", order)
 	}
-	slowDone[1]()
-	slowDone[2]()
+	d.Absorbed(100)
+	d.Absorbed(100)
 	eng.Run()
 	if len(order) != 4 {
 		t.Fatalf("final order = %v", order)
@@ -106,13 +103,9 @@ func TestDMAIIOBackpressure(t *testing.T) {
 	toHost, toNIC := testLinks(eng)
 	iio := cache.NewIIO(1024) // fits a single write
 	d := NewEngine(eng, toHost, toNIC, iio, 8)
-	var doneFns []func()
 	delivered := 0
 	for i := 0; i < 3; i++ {
-		d.Write(1024, func(done func()) {
-			delivered++
-			doneFns = append(doneFns, done)
-		})
+		d.Write(1024, func(any) { delivered++ }, nil)
 	}
 	eng.Run()
 	if delivered != 1 {
@@ -121,13 +114,13 @@ func TestDMAIIOBackpressure(t *testing.T) {
 	if d.IIOBackpressure == 0 {
 		t.Fatal("expected IIO backpressure")
 	}
-	doneFns[0]()
+	d.Absorbed(1024)
 	eng.Run()
 	if delivered != 2 {
 		t.Fatalf("delivered = %d after drain, want 2", delivered)
 	}
-	doneFns[1]()
-	doneFns[2]()
+	d.Absorbed(1024)
+	d.Absorbed(1024)
 	eng.Run()
 	if delivered != 3 {
 		t.Fatalf("delivered = %d, want 3", delivered)
@@ -143,7 +136,7 @@ func TestDMARead(t *testing.T) {
 	iio := cache.NewIIO(1 << 20)
 	d := NewEngine(eng, toHost, toNIC, iio, 4)
 	var at sim.Time
-	d.Read(1024, 450, func() { at = eng.Now() })
+	d.Read(1024, 450, func(any) { at = eng.Now() }, nil)
 	eng.Run()
 	// Request: 32+24=56 wire bytes + 100ns prop = 156. Device: +450 = 606.
 	// Response: 1024+96=1120 bytes + 100 prop = 1826 total.
@@ -163,10 +156,10 @@ func TestDMAWritesPreserveOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 20; i++ {
 		i := i
-		d.Write(64, func(done func()) {
+		d.Write(64, func(any) {
 			order = append(order, i)
-			eng.After(10, done)
-		})
+			eng.After(10, func(any) { d.Absorbed(64) }, nil)
+		}, nil)
 	}
 	eng.Run()
 	if len(order) != 20 {

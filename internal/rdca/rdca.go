@@ -128,12 +128,11 @@ type flowState struct {
 
 // job carries one packet's (datapath, flow, packet) context through the
 // window check and DMA completion; pool-recycled so the admission path
-// schedules with AfterArg instead of allocating a closure per packet.
+// schedules a carrier instead of allocating a closure per packet.
 type job struct {
-	d    *RDCA
-	f    *iosys.Flow
-	p    *pkt.Packet
-	next *job
+	d *RDCA
+	f *iosys.Flow
+	p *pkt.Packet
 }
 
 // partWindow is one LLC partition's receiver-driven window state. On an
@@ -171,7 +170,7 @@ type RDCA struct {
 	inflight map[cache.BufID]int
 	pred     func(cache.BufID) bool // persistent ImminentIn predicate
 
-	freeJobs *job
+	jobs sim.Carriers[job]
 
 	// Statistics.
 	Demoted         uint64 // bypass lines dropped from the LLC at delivery
@@ -250,7 +249,7 @@ func (d *RDCA) FlowRemoved(f *iosys.Flow) {
 			if j.f == f {
 				st.pending--
 				d.m.Drop(j.f, j.p)
-				d.putJob(j)
+				d.jobs.Put(j)
 				continue
 			}
 			pw.pend[n] = j
@@ -264,19 +263,9 @@ func (d *RDCA) FlowRemoved(f *iosys.Flow) {
 }
 
 func (d *RDCA) getJob(f *iosys.Flow, p *pkt.Packet) *job {
-	j := d.freeJobs
-	if j == nil {
-		j = &job{}
-	} else {
-		d.freeJobs = j.next
-	}
-	j.d, j.f, j.p, j.next = d, f, p, nil
+	j := d.jobs.Get()
+	j.d, j.f, j.p = d, f, p
 	return j
-}
-
-func (d *RDCA) putJob(j *job) {
-	*j = job{next: d.freeJobs}
-	d.freeJobs = j
 }
 
 // Ingress posts the packet to the flow's rx ring and runs the window
@@ -307,7 +296,7 @@ func (d *RDCA) Ingress(f *iosys.Flow, p *pkt.Packet) {
 	}
 	j := d.getJob(f, p)
 	if d.opt.ControlOverhead > 0 {
-		d.m.Eng.AfterArg(d.opt.ControlOverhead, decide, j)
+		d.m.Eng.After(d.opt.ControlOverhead, decide, j)
 	} else {
 		decide(j)
 	}
@@ -343,7 +332,7 @@ func (d *RDCA) admit(j *job) {
 	pw := &d.wins[j.f.Partition()]
 	pw.inFlight++
 	d.inflight[j.p.Buf] = j.f.Partition()
-	d.m.DMAToHostArg(j.p, landed, j)
+	d.m.DMAToHost(j.p, landed, j)
 }
 
 // landed fires when the packet's lines are resident: involved packets
@@ -352,9 +341,9 @@ func (d *RDCA) admit(j *job) {
 func landed(arg any) {
 	j := arg.(*job)
 	d, f, p := j.d, j.f, j.p
-	d.putJob(j)
+	d.jobs.Put(j)
 	if f.Kind == iosys.CPUBypass {
-		d.m.ConsumeBypass(f, p, nil)
+		d.m.ConsumeBypass(f, p)
 	}
 }
 

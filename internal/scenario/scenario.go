@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"ceio/internal/dataplane"
@@ -121,6 +122,12 @@ func (s *Spec) Validate() error {
 	if s.DurationMs <= 0 {
 		return fmt.Errorf("scenario: duration_ms must be positive")
 	}
+	if _, err := msTime("warmup_ms", s.WarmupMs); err != nil {
+		return fmt.Errorf("scenario: %w", err)
+	}
+	if _, err := msTime("warmup_ms + duration_ms", s.WarmupMs+s.DurationMs); err != nil {
+		return fmt.Errorf("scenario: %w", err)
+	}
 	if s.Cores < 0 {
 		return fmt.Errorf("scenario: cores must be non-negative, got %d", s.Cores)
 	}
@@ -133,8 +140,17 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario: duplicate flow id %d", f.ID)
 		}
 		seen[f.ID] = true
+		if f.PktSize < 0 {
+			return fmt.Errorf("scenario: flow %d pkt_size must be non-negative, got %d", f.ID, f.PktSize)
+		}
 		if _, err := buildSpec(f); err != nil {
 			return err
+		}
+		if _, err := msTime("start_ms", f.StartMs); err != nil {
+			return fmt.Errorf("scenario: flow %d: %w", f.ID, err)
+		}
+		if _, err := msTime("stop_ms", f.StopMs); err != nil {
+			return fmt.Errorf("scenario: flow %d: %w", f.ID, err)
 		}
 		if f.StopMs != 0 && f.StopMs <= f.StartMs {
 			return fmt.Errorf("scenario: flow %d stops before it starts", f.ID)
@@ -144,6 +160,19 @@ func (s *Spec) Validate() error {
 		}
 	}
 	return nil
+}
+
+// msTime converts a millisecond field to simulated time. It rejects what
+// the nanosecond clock cannot represent: negative, NaN, infinite, or
+// overflowing values.
+func msTime(field string, v float64) (sim.Time, error) {
+	ns := v * float64(sim.Millisecond)
+	// float64(math.MaxInt64) rounds up to 2^63, the first value that
+	// overflows the conversion.
+	if math.IsNaN(ns) || ns < 0 || ns >= float64(math.MaxInt64) {
+		return 0, fmt.Errorf("%s = %v is not a simulated time in [0, %v]", field, v, sim.Time(math.MaxInt64))
+	}
+	return sim.Time(ns), nil
 }
 
 func buildSpec(f FlowSpec) (iosys.FlowSpec, error) {
@@ -205,26 +234,31 @@ func (s *Spec) RunInstrumented(setup func(*iosys.Machine)) (*Result, error) {
 		setup(m)
 	}
 
-	ms := func(v float64) sim.Time { return sim.Time(v * float64(sim.Millisecond)) }
+	// Validate accepted every spec, kind and time below, so the
+	// conversions cannot fail here.
 	kinds := make(map[int]string, len(s.Flows))
 	for _, f := range s.Flows {
 		f := f
 		kinds[f.ID] = f.Kind
 		spec, _ := buildSpec(f)
-		add := func() { m.AddFlow(spec) }
+		add := func(any) { m.AddFlow(spec) }
 		if f.StartMs > 0 {
-			m.Eng.At(ms(f.StartMs), add)
+			start, _ := msTime("start_ms", f.StartMs)
+			m.Eng.At(start, add, nil)
 		} else {
-			add()
+			add(nil)
 		}
 		if f.StopMs > 0 {
-			m.Eng.At(ms(f.StopMs), func() { m.RemoveFlow(f.ID) })
+			stop, _ := msTime("stop_ms", f.StopMs)
+			m.Eng.At(stop, func(any) { m.RemoveFlow(f.ID) }, nil)
 		}
 	}
 
-	m.Run(ms(s.WarmupMs))
+	warmup, _ := msTime("warmup_ms", s.WarmupMs)
+	end, _ := msTime("warmup_ms + duration_ms", s.WarmupMs+s.DurationMs)
+	m.Run(warmup)
 	m.ResetWindow()
-	m.Run(ms(s.WarmupMs + s.DurationMs))
+	m.Run(end)
 
 	now := m.Eng.Now()
 	// Aggregates read from the telemetry registry: the same source of

@@ -63,6 +63,11 @@ func TestValidateErrors(t *testing.T) {
 		`{"arch":"CEIO","duration_ms":1,"flows":[{"id":1,"kind":"rpc","start_ms":2,"stop_ms":1}]}`,
 		`{"arch":"CEIO","duration_ms":1,"flows":[{"id":1,"kind":"rpc","pipeline":["wat"]}]}`,
 		`{"arch":"CEIO","duration_ms":1,"flows":[{"id":1,"kind":"dfs","pipeline":["nat64"]}]}`,
+		`{"arch":"CEIO","duration_ms":1,"flows":[{"id":1,"kind":"rpc","start_ms":1e300}]}`,
+		`{"arch":"CEIO","duration_ms":1,"warmup_ms":-4,"flows":[{"id":1,"kind":"rpc"}]}`,
+		`{"arch":"CEIO","duration_ms":1e300,"flows":[{"id":1,"kind":"rpc"}]}`,
+		`{"arch":"CEIO","duration_ms":1,"flows":[{"id":1,"kind":"rpc","pkt_size":-64}]}`,
+		`{"arch":"CEIO","duration_ms":5e12,"warmup_ms":5e12,"flows":[{"id":1,"kind":"rpc"}]}`,
 	}
 	for i, c := range cases {
 		if _, err := Load(strings.NewReader(c)); err == nil {

@@ -9,12 +9,12 @@ import "testing"
 // overflow horizon — must neither grow the arena nor allocate.
 func TestArenaLocalityUnderChurn(t *testing.T) {
 	e := NewEngine(1)
-	afn := func(any) {}
+	fn := func(any) {}
 
 	// Warm to a high-water mark of `depth` pending events.
 	const depth = 600
 	for i := 0; i < depth; i++ {
-		e.AfterArg(Time(1+i*31), afn, nil)
+		e.After(Time(1+i*31), fn, nil)
 	}
 	for e.Pending() > 0 {
 		e.Step()
@@ -33,7 +33,7 @@ func TestArenaLocalityUnderChurn(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, func() {
 		for i, sp := range spreads {
 			for j := 0; j < depth/2; j++ {
-				e.AfterArg(sp+Time(i*j%257), afn, nil)
+				e.After(sp+Time(i*j%257), fn, nil)
 			}
 			for e.Pending() > 0 {
 				e.Step()

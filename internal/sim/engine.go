@@ -83,15 +83,14 @@ const (
 
 const maxTime = Time(math.MaxInt64)
 
-// eventRec is one scheduled callback, arena-allocated and recycled. Either
-// fn or afn is set: afn receives arg, which lets hot paths schedule a
-// long-lived func(any) plus a pointer instead of allocating a fresh
-// closure per event. next is the arena id of the successor in whichever
-// index chain (slot list, overflow, or free list) holds the record.
+// eventRec is one scheduled callback, arena-allocated and recycled. fn
+// receives arg, which lets hot paths schedule a long-lived func(any) plus
+// a pointer instead of allocating a fresh closure per event. next is the
+// arena id of the successor in whichever index chain (slot list,
+// overflow, or free list) holds the record.
 type eventRec struct {
 	at   Time
-	fn   func()
-	afn  func(any)
+	fn   func(any)
 	arg  any
 	next int32
 	// gen is bumped every time the record is freed; a handle whose gen
@@ -242,7 +241,6 @@ func (e *Engine) allocID() int32 {
 func (e *Engine) freeID(id int32) {
 	r := e.rec(id)
 	r.fn = nil
-	r.afn = nil
 	r.arg = nil
 	r.gen++
 	r.next = e.freeHead
@@ -482,7 +480,7 @@ func (e *Engine) unlink(id int32) bool {
 
 // --- scheduling API ------------------------------------------------------
 
-func (e *Engine) schedule(t Time, fn func(), afn func(any), arg any) handle {
+func (e *Engine) schedule(t Time, fn func(any), arg any) handle {
 	if t < e.now {
 		t = e.now
 	}
@@ -490,7 +488,6 @@ func (e *Engine) schedule(t Time, fn func(), afn func(any), arg any) handle {
 	r := e.rec(id)
 	r.at = t
 	r.fn = fn
-	r.afn = afn
 	r.arg = arg
 	e.insertRec(id)
 	e.pending++
@@ -511,21 +508,15 @@ func (e *Engine) cancel(h handle) bool {
 	return true
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past is an
-// error in the model; it is clamped to Now so that simulations degrade
-// gracefully rather than travel backwards.
-func (e *Engine) At(t Time, fn func()) { e.schedule(t, fn, nil, nil) }
+// At schedules fn(arg) to run at absolute time t. Scheduling in the past
+// is an error in the model; it is clamped to Now so that simulations
+// degrade gracefully rather than travel backwards. Hot paths keep one
+// long-lived func(any) and pass the per-event state as arg, so scheduling
+// allocates nothing.
+func (e *Engine) At(t Time, fn func(any), arg any) { e.schedule(t, fn, arg) }
 
-// After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Time, fn func()) { e.schedule(e.now+d, fn, nil, nil) }
-
-// AtArg schedules fn(arg) at absolute time t. Unlike At, it captures no
-// environment: hot paths keep one long-lived func(any) and pass the
-// per-event state as arg, so scheduling allocates nothing.
-func (e *Engine) AtArg(t Time, fn func(any), arg any) { e.schedule(t, nil, fn, arg) }
-
-// AfterArg schedules fn(arg) to run d nanoseconds from now; see AtArg.
-func (e *Engine) AfterArg(d Time, fn func(any), arg any) { e.schedule(e.now+d, nil, fn, arg) }
+// After schedules fn(arg) to run d nanoseconds from now; see At.
+func (e *Engine) After(d Time, fn func(any), arg any) { e.schedule(e.now+d, fn, arg) }
 
 // --- dispatch ------------------------------------------------------------
 
@@ -536,13 +527,9 @@ func (e *Engine) dispatch(id int32) {
 	r := e.rec(id)
 	e.now = r.at
 	e.Processed++
-	fn, afn, arg := r.fn, r.afn, r.arg
+	fn, arg := r.fn, r.arg
 	e.freeID(id)
-	if fn != nil {
-		fn()
-	} else {
-		afn(arg)
-	}
+	fn(arg)
 }
 
 // Step executes the next event, if any, and reports whether one ran. Step
@@ -604,7 +591,7 @@ func (e *Engine) Every(start, period Time, fn func()) (cancel func()) {
 		panic("sim: Every requires a positive period")
 	}
 	t := &ticker{e: e, period: period, fn: fn}
-	t.h = e.schedule(start, nil, tickerFire, t)
+	t.h = e.schedule(start, tickerFire, t)
 	return t.cancel
 }
 
@@ -625,7 +612,7 @@ func tickerFire(arg any) {
 	}
 	t.fn()
 	if !t.stopped {
-		t.h = t.e.schedule(t.e.now+t.period, nil, tickerFire, t)
+		t.h = t.e.schedule(t.e.now+t.period, tickerFire, t)
 	}
 }
 

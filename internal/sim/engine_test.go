@@ -12,7 +12,7 @@ func TestEngineOrdering(t *testing.T) {
 	var got []Time
 	for _, at := range []Time{50, 10, 30, 20, 40} {
 		at := at
-		e.At(at, func() { got = append(got, at) })
+		e.At(at, func(any) { got = append(got, at) }, nil)
 	}
 	e.Run()
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
@@ -34,7 +34,7 @@ func auditFreeList(t *testing.T, e *Engine) {
 	for id := e.freeHead; id != nilID; id = e.rec(id).next {
 		n++
 		r := e.rec(id)
-		if r.fn != nil || r.afn != nil || r.arg != nil {
+		if r.fn != nil || r.arg != nil {
 			t.Fatalf("free-list record %d retains a closure (at=%v)", n, r.at)
 		}
 	}
@@ -44,7 +44,7 @@ func auditFreeList(t *testing.T, e *Engine) {
 }
 
 // TestEngineDrainedHoldsNoEvents pins the memory behavior of the record
-// pool: freeing a record must nil its fn/afn/arg immediately, otherwise
+// pool: freeing a record must nil its fn/arg immediately, otherwise
 // a long run retains every fired closure (and the object graph it
 // captures) for the lifetime of the pool — the same invariant the old
 // heap enforced by zeroing vacated slots.
@@ -53,7 +53,7 @@ func TestEngineDrainedHoldsNoEvents(t *testing.T) {
 	const n = 64
 	for i := 0; i < n; i++ {
 		payload := make([]byte, 1024) // captured by the closure
-		e.At(Time(i), func() { payload[0]++ })
+		e.At(Time(i), func(any) { payload[0]++ }, nil)
 	}
 	e.Run()
 	if e.Pending() != 0 {
@@ -68,13 +68,13 @@ func TestEngineDrainedHoldsNoEvents(t *testing.T) {
 func TestEngineInterleavedPoolZeroing(t *testing.T) {
 	e := NewEngine(1)
 	for i := 0; i < 16; i++ {
-		e.At(Time(i), func() {})
+		e.At(Time(i), func(any) {}, nil)
 	}
 	for i := 0; i < 8; i++ {
 		e.Step()
 	}
 	for i := 16; i < 20; i++ {
-		e.At(Time(i), func() {})
+		e.At(Time(i), func(any) {}, nil)
 	}
 	e.Run()
 	auditFreeList(t, e)
@@ -82,25 +82,19 @@ func TestEngineInterleavedPoolZeroing(t *testing.T) {
 
 // TestEngineSteadyStateZeroAlloc proves the tentpole guarantee: once the
 // record pool is warm, a schedule+dispatch cycle performs no heap
-// allocations — for After with a pre-built closure, for AfterArg, and
-// for a running Every ticker.
+// allocations — for After with a long-lived callback and a pointer
+// argument, and for a running Every ticker.
 func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	e := NewEngine(1)
-	fn := func() {}
-	e.After(1, fn)
+	fn := func(any) {}
+	arg := new(int)
+	e.After(1, fn, arg)
 	e.Step() // warm the pool
 	if avg := testing.AllocsPerRun(1000, func() {
-		e.After(3, fn)
+		e.After(3, fn, arg)
 		e.Step()
 	}); avg != 0 {
 		t.Fatalf("After+Step allocates %.2f objects per cycle, want 0", avg)
-	}
-	afn := func(any) {}
-	if avg := testing.AllocsPerRun(1000, func() {
-		e.AfterArg(3, afn, nil)
-		e.Step()
-	}); avg != 0 {
-		t.Fatalf("AfterArg+Step allocates %.2f objects per cycle, want 0", avg)
 	}
 	cancel := e.Every(e.Now()+1, 5, func() {})
 	defer cancel()
@@ -179,8 +173,8 @@ func TestEngineCancelSurvivesRecycling(t *testing.T) {
 	cancel := e.Every(5, 10, func() {})
 	e.RunUntil(6) // tick at 5 fired; its record is back in the pool
 	ran := false
-	e.At(8, func() { ran = true }) // likely reuses the recycled record
-	cancel()                       // must cancel the *new* pending tick only
+	e.At(8, func(any) { ran = true }, nil) // likely reuses the recycled record
+	cancel()                               // must cancel the *new* pending tick only
 	e.RunUntil(20)
 	if !ran {
 		t.Fatal("stale ticker cancel unlinked an unrelated recycled event")
@@ -201,7 +195,7 @@ func TestEngineFarFutureAndOverflow(t *testing.T) {
 	// the firing order.
 	for i := len(times) - 1; i >= 0; i-- {
 		at := times[i]
-		e.At(at, func() { got = append(got, at) })
+		e.At(at, func(any) { got = append(got, at) }, nil)
 	}
 	e.Run()
 	if len(got) != len(times) {
@@ -223,17 +217,17 @@ func TestEngineFarFutureAndOverflow(t *testing.T) {
 func TestEngineRunUntilAcrossCascade(t *testing.T) {
 	e := NewEngine(1)
 	var got []Time
-	note := func(at Time) func() { return func() { got = append(got, at) } }
-	e.At(300, note(300))       // level 1
-	e.At(70_000, note(70_000)) // level 2
-	e.RunUntil(290)            // bounded: must not dispatch 300
+	note := func(arg any) { got = append(got, arg.(Time)) }
+	e.At(300, note, Time(300))       // level 1
+	e.At(70_000, note, Time(70_000)) // level 2
+	e.RunUntil(290)                  // bounded: must not dispatch 300
 	if len(got) != 0 {
 		t.Fatalf("dispatched %v before bound", got)
 	}
 	if e.Now() != 290 {
 		t.Fatalf("clock = %v, want 290", e.Now())
 	}
-	e.At(295, note(295)) // lands between bound and the pending 300
+	e.At(295, note, Time(295)) // lands between bound and the pending 300
 	e.RunUntil(1 << 33)
 	want := []Time{295, 300, 70_000}
 	if len(got) != len(want) {
@@ -246,8 +240,8 @@ func TestEngineRunUntilAcrossCascade(t *testing.T) {
 	}
 	// Past the horizon: new events near now must still come before a
 	// far-future one scheduled earlier.
-	e.At(e.Now()+1<<32+7, note(-1))
-	e.At(e.Now()+10, note(-2))
+	e.At(e.Now()+1<<32+7, note, Time(-1))
+	e.At(e.Now()+10, note, Time(-2))
 	e.Run()
 	if got[3] != -2 || got[4] != -1 {
 		t.Fatalf("post-horizon order wrong: %v", got[3:])
@@ -259,7 +253,7 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(100, func() { got = append(got, i) })
+		e.At(100, func(any) { got = append(got, i) }, nil)
 	}
 	e.Run()
 	for i, v := range got {
@@ -272,12 +266,12 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 func TestEnginePastClamp(t *testing.T) {
 	e := NewEngine(1)
 	var ran bool
-	e.At(100, func() {
-		e.At(50, func() { ran = true }) // in the past: clamps to now
+	e.At(100, func(any) {
+		e.At(50, func(any) { ran = true }, nil) // in the past: clamps to now
 		if e.Now() != 100 {
 			t.Fatalf("now = %v", e.Now())
 		}
-	})
+	}, nil)
 	e.Run()
 	if !ran {
 		t.Fatal("clamped event did not run")
@@ -340,7 +334,7 @@ func TestEngineDeterminism(t *testing.T) {
 		e := NewEngine(seed)
 		var out []int
 		for i := 0; i < 100; i++ {
-			e.After(Time(e.Rand().Intn(1000)), func() { out = append(out, e.Rand().Intn(1<<20)) })
+			e.After(Time(e.Rand().Intn(1000)), func(any) { out = append(out, e.Rand().Intn(1<<20)) }, nil)
 		}
 		e.Run()
 		return out
@@ -368,7 +362,7 @@ func TestEngineOrderProperty(t *testing.T) {
 		var got []rec
 		for i, raw := range times {
 			at, i := Time(raw), i
-			e.At(at, func() { got = append(got, rec{e.Now(), i}) })
+			e.At(at, func(any) { got = append(got, rec{e.Now(), i}) }, nil)
 		}
 		e.Run()
 		if len(got) != len(times) {
@@ -393,8 +387,8 @@ func TestServerSerialisation(t *testing.T) {
 	e := NewEngine(1)
 	s := NewServer(e, 1e9, 0) // 1 byte per ns
 	var done []Time
-	s.Submit(100, func() { done = append(done, e.Now()) })
-	s.Submit(50, func() { done = append(done, e.Now()) })
+	s.Submit(100, func(any) { done = append(done, e.Now()) }, nil)
+	s.Submit(50, func(any) { done = append(done, e.Now()) }, nil)
 	e.Run()
 	if len(done) != 2 || done[0] != 100 || done[1] != 150 {
 		t.Fatalf("completions = %v, want [100 150]", done)
@@ -405,8 +399,8 @@ func TestServerLatencyPipelining(t *testing.T) {
 	e := NewEngine(1)
 	s := NewServer(e, 1e9, 500)
 	var done []Time
-	s.Submit(100, func() { done = append(done, e.Now()) })
-	s.Submit(100, func() { done = append(done, e.Now()) })
+	s.Submit(100, func(any) { done = append(done, e.Now()) }, nil)
+	s.Submit(100, func(any) { done = append(done, e.Now()) }, nil)
 	e.Run()
 	// Second item begins serialising at t=100 and completes at 200+500:
 	// the latency stages overlap.
@@ -418,7 +412,7 @@ func TestServerLatencyPipelining(t *testing.T) {
 func TestServerQueueDelay(t *testing.T) {
 	e := NewEngine(1)
 	s := NewServer(e, 1e9, 0)
-	s.Submit(1000, nil)
+	s.Submit(1000, nil, nil)
 	if d := s.QueueDelay(); d != 1000 {
 		t.Fatalf("queue delay = %v, want 1000", d)
 	}
@@ -431,8 +425,8 @@ func TestServerQueueDelay(t *testing.T) {
 func TestServerStats(t *testing.T) {
 	e := NewEngine(1)
 	s := NewServer(e, 2e9, 0)
-	s.Submit(200, nil)
-	s.Submit(200, nil)
+	s.Submit(200, nil, nil)
+	s.Submit(200, nil, nil)
 	e.Run()
 	if s.ItemsServed != 2 || s.BytesServed != 400 {
 		t.Fatalf("items=%d bytes=%d", s.ItemsServed, s.BytesServed)

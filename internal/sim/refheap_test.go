@@ -176,15 +176,16 @@ func chainDelay(id uint64) Time {
 func (d *diffState) scheduleBoth(t Time, depth int) {
 	id := d.id
 	d.id++
-	var eFn, rFn func(uint64, int) func()
-	eFn = func(id uint64, depth int) func() {
-		return func() {
+	var eFn func(uint64, int) func(any)
+	eFn = func(id uint64, depth int) func(any) {
+		return func(any) {
 			d.eLog = append(d.eLog, fireLog{d.e.Now(), id})
 			if depth > 0 {
-				d.e.After(chainDelay(id), eFn(id*31+1, depth-1))
+				d.e.After(chainDelay(id), eFn(id*31+1, depth-1), nil)
 			}
 		}
 	}
+	var rFn func(uint64, int) func()
 	rFn = func(id uint64, depth int) func() {
 		return func() {
 			d.rLog = append(d.rLog, fireLog{d.r.now, id})
@@ -193,7 +194,7 @@ func (d *diffState) scheduleBoth(t Time, depth int) {
 			}
 		}
 	}
-	d.eHandles = append(d.eHandles, d.e.schedule(t, eFn(id, depth), nil, nil))
+	d.eHandles = append(d.eHandles, d.e.schedule(t, eFn(id, depth), nil))
 	d.rEvents = append(d.rEvents, d.r.at(t, rFn(id, depth)))
 }
 

@@ -39,29 +39,10 @@ func (s *Server) serialisation(size int) Time {
 	return t
 }
 
-// Submit enqueues a transfer of size bytes. done (optional) runs when the
-// transfer fully completes (serialisation + fixed latency). Submit returns
-// the completion time.
-func (s *Server) Submit(size int, done func()) Time {
-	completion := s.clock(size)
-	if done != nil {
-		s.eng.At(completion, done)
-	}
-	return completion
-}
-
-// SubmitArg is the allocation-free variant of Submit: fn(arg) runs at
-// completion, so hot paths pass one long-lived func(any) plus per-item
-// state instead of capturing a fresh closure per transfer.
-func (s *Server) SubmitArg(size int, fn func(any), arg any) Time {
-	completion := s.clock(size)
-	s.eng.AtArg(completion, fn, arg)
-	return completion
-}
-
-// clock books a transfer through the serialisation stage and returns its
-// completion time.
-func (s *Server) clock(size int) Time {
+// Submit enqueues a transfer of size bytes and returns its completion time
+// (serialisation + fixed latency). fn(arg), if fn is non-nil, runs at
+// completion; a nil fn books the bandwidth and schedules nothing.
+func (s *Server) Submit(size int, fn func(any), arg any) Time {
 	now := s.eng.Now()
 	start := now
 	if s.busyUntil > start {
@@ -75,7 +56,11 @@ func (s *Server) clock(size int) Time {
 	s.BusyTime += ser
 	s.ItemsServed++
 	s.BytesServed += uint64(size)
-	return s.busyUntil + s.latency
+	completion := s.busyUntil + s.latency
+	if fn != nil {
+		s.eng.At(completion, fn, arg)
+	}
+	return completion
 }
 
 // QueueDelay reports how long a transfer submitted now would wait before

@@ -50,7 +50,7 @@ func RunDynamicDistribution(method Method, cfg iosys.Config, sc ScenarioConfig) 
 	swapped := 0
 	for e := 1; e < sc.Epochs; e++ {
 		e := e
-		m.Eng.At(sim.Time(e)*sc.Epoch, func() {
+		m.Eng.At(sim.Time(e)*sc.Epoch, func(any) {
 			// Replace two CPU-involved flows with CPU-bypass flows.
 			for k := 0; k < 2 && swapped < 8; k++ {
 				m.RemoveFlow(1 + swapped)
@@ -58,7 +58,7 @@ func RunDynamicDistribution(method Method, cfg iosys.Config, sc ScenarioConfig) 
 				nextID++
 				swapped++
 			}
-		})
+		}, nil)
 	}
 	m.Run(sc.Warmup)
 	m.ResetWindow()
@@ -80,16 +80,16 @@ func RunNetworkBurst(method Method, cfg iosys.Config, sc ScenarioConfig) Dynamic
 	nextID := 200
 	for e := 1; e < sc.Epochs; e++ {
 		e := e
-		m.Eng.At(sim.Time(e)*sc.Epoch, func() {
+		m.Eng.At(sim.Time(e)*sc.Epoch, func(any) {
 			a, b := nextID, nextID+1
 			nextID += 2
 			m.AddFlow(ERPCKV(a, 144, DPDK))
 			m.AddFlow(ERPCKV(b, 144, DPDK))
-			m.Eng.After(sc.Epoch/2, func() {
+			m.Eng.After(sc.Epoch/2, func(any) {
 				m.RemoveFlow(a)
 				m.RemoveFlow(b)
-			})
-		})
+			}, nil)
+		}, nil)
 	}
 	m.Run(sc.Warmup)
 	m.ResetWindow()
