@@ -209,8 +209,9 @@ func TestMachineSteadyStateZeroAlloc(t *testing.T) {
 // BenchmarkFleetEventThroughput measures raw event-dispatch throughput
 // (engine events per wall-clock second) on the 16-host rack scenario with
 // 3 flows per host — the schedule-heavy macro workload ROADMAP item 1
-// names as the scale ceiling. Reported as Mevents/sec so BENCH_engine.json
-// can track the heap→wheel trajectory directly.
+// names as the scale ceiling. Reported as Mevents/sec, the unit of the
+// heap→wheel trajectory in the "engine hot-path overhaul" entry of
+// CHANGES.md.
 func BenchmarkFleetEventThroughput(b *testing.B) {
 	b.ReportAllocs()
 	f, err := fleet.New(fleet.DefaultConfig(16, workload.MethodCEIO))
@@ -239,10 +240,10 @@ func BenchmarkFleetEventThroughput(b *testing.B) {
 
 // benchFleet64Sharded steps a 64-host rack (3 flows per host, all
 // control traffic over the ToR fabric) with its host shards fanned
-// across a pool of the given width. The Serial/Parallel8 pair is the
-// BENCH_fleet.json row that tracks the sharded-execution speedup; on a
-// single-CPU runner the pair mostly measures barrier overhead, so read
-// the delta together with the recorded host CPU count.
+// across a pool of the given width. The Serial/Parallel8 pair measures
+// the sharded-execution speedup (simbench reports it as runner.speedup
+// on rack-failover); on a single-CPU runner the pair mostly measures
+// barrier overhead, so read the delta together with the host CPU count.
 func benchFleet64Sharded(b *testing.B, workers int) {
 	b.ReportAllocs()
 	pool := runner.NewPool(workers)

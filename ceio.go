@@ -72,8 +72,11 @@ const (
 	CPUBypass   = iosys.CPUBypass   // NIC -> LLC -> DRAM (DFS, bulk RDMA)
 )
 
-// CEIOOptions tune the CEIO datapath (credit pool, read-ahead, lazy
-// release, and the ablation switches of Table 4).
+// CEIOOptions tune the CEIO datapath (credit pool, fault-recovery
+// timers, and the ablation switches of Table 4). Start from
+// DefaultCEIOOptions: the zero value turns off LazyRelease, CreditRealloc
+// and AsyncDrain, which is Table 4's ablation, not the paper's
+// configuration.
 type CEIOOptions = core.Options
 
 // DefaultCEIOOptions returns the paper-faithful CEIO configuration.
@@ -145,12 +148,9 @@ const (
 	ArchRDCA     Architecture = Architecture(workload.MethodRDCA)
 )
 
-// RDCAOptions tune the RDCA datapath (window bounds, residency target,
-// controller period, fixed-window sweeps).
+// RDCAOptions tune the RDCA datapath: the zero value is the
+// receiver-driven default, and FixedWindow pins the window for sweeps.
 type RDCAOptions = rdca.Options
-
-// DefaultRDCAOptions returns the receiver-driven RDCA defaults.
-func DefaultRDCAOptions() RDCAOptions { return rdca.DefaultOptions() }
 
 // Simulator drives one simulated receiver host.
 type Simulator struct {
@@ -203,8 +203,8 @@ func NewCEIOSimulatorE(cfg Config, opts CEIOOptions) (*Simulator, error) {
 }
 
 // NewRDCASimulator builds a machine running the RDCA datapath with
-// explicit options (fixed-window sweeps, residency target, controller
-// period). Invalid configurations panic; see NewRDCASimulatorE.
+// explicit options (fixed-window sweeps). Invalid configurations panic;
+// see NewRDCASimulatorE.
 func NewRDCASimulator(cfg Config, opts RDCAOptions) *Simulator {
 	s, err := NewRDCASimulatorE(cfg, opts)
 	if err != nil {

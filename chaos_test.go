@@ -391,7 +391,6 @@ func TestChaosFleetFailover(t *testing.T) {
 	fc.Machine.Seed = 19
 	fc.ProbePeriod = 20 * ceio.Microsecond
 	fc.DrainDeadline = 500 * ceio.Microsecond
-	fc.MigrationRTT = 2 * ceio.Microsecond
 	storm := ceio.FaultPlan{
 		Seed:           1010,
 		WireDropRate:   0.01,
@@ -522,7 +521,6 @@ func TestChaosFabric(t *testing.T) {
 	}
 	fc.ProbePeriod = 20 * ceio.Microsecond
 	fc.DrainDeadline = 2500 * ceio.Microsecond
-	fc.MigrationRTT = 2 * ceio.Microsecond
 	storm := ceio.FaultPlan{
 		Seed:         2020,
 		WireDropRate: 0.01,

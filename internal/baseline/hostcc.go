@@ -9,38 +9,17 @@ import (
 
 // HostCCConfig parameterises the reactive controller.
 type HostCCConfig struct {
-	// Period is the kernel module's sampling interval.
-	Period sim.Time
 	// ReactionDelay is the lag between detecting host congestion and the
 	// CCA rate reduction taking effect at the sender — the "slow
 	// response" the paper critiques (§2.3): the congestion signal is
 	// generated only once LLC misses are already occurring.
 	ReactionDelay sim.Time
-	// MissThreshold is the per-period LLC miss fraction that counts as
-	// host congestion.
-	MissThreshold float64
-	// IIOThreshold is the IIO fill fraction that counts as congestion.
-	IIOThreshold float64
-	// Cooldown limits how often a given flow is force-reduced.
-	Cooldown sim.Time
 }
 
 // DefaultHostCCConfig matches the deployment in §6.1: a kernel module
 // monitoring IIO occupancy and PCIe/memory pressure, triggering DCTCP.
 func DefaultHostCCConfig() HostCCConfig {
-	return HostCCConfig{
-		// The real HostCC's signals (IIO occupancy, PCIe bandwidth) track
-		// LLC overflow only loosely and reactively: congestion is visible
-		// only once misses are already happening, and the kernel-module
-		// control loop plus CCA invocation add tens of microseconds. The
-		// coarse threshold and long cooldown reproduce that slack — the
-		// "slow response" limitation of §2.3.
-		Period:        10 * sim.Microsecond,
-		ReactionDelay: 40 * sim.Microsecond,
-		MissThreshold: 0.40,
-		IIOThreshold:  0.5,
-		Cooldown:      80 * sim.Microsecond,
-	}
+	return HostCCConfig{ReactionDelay: 40 * sim.Microsecond}
 }
 
 // HostCC layers reactive host congestion control over the legacy
@@ -66,10 +45,28 @@ func NewHostCC(cfg HostCCConfig) *HostCC {
 // Name implements iosys.Datapath.
 func (h *HostCC) Name() string { return "HostCC" }
 
+// The real HostCC's signals (IIO occupancy, PCIe bandwidth) track LLC
+// overflow only loosely and reactively: congestion is visible only once
+// misses are already happening, and the kernel-module control loop plus
+// CCA invocation add tens of microseconds. The coarse thresholds and long
+// cooldown below reproduce that slack — the "slow response" limitation
+// of §2.3.
+const (
+	// period is the kernel module's sampling interval.
+	period sim.Time = 10 * sim.Microsecond
+	// missThreshold is the per-period LLC miss fraction that counts as
+	// host congestion.
+	missThreshold float64 = 0.40
+	// iioThreshold is the IIO fill fraction that counts as congestion.
+	iioThreshold float64 = 0.5
+	// cooldown limits how often a given flow is force-reduced.
+	cooldown sim.Time = 80 * sim.Microsecond
+)
+
 // Attach starts the monitoring loop.
 func (h *HostCC) Attach(m *iosys.Machine) {
 	h.Legacy.Attach(m)
-	m.Eng.Every(h.cfg.Period, h.cfg.Period, h.monitor)
+	m.Eng.Every(period, period, h.monitor)
 }
 
 func (h *HostCC) monitor() {
@@ -79,10 +76,10 @@ func (h *HostCC) monitor() {
 	h.lastHits, h.lastMisses = hits, misses
 
 	congested := false
-	if m.IIO.Fill() > h.cfg.IIOThreshold {
+	if m.IIO.Fill() > iioThreshold {
 		congested = true
 	}
-	if mr := stats.Ratio(dMisses, dHits+dMisses); mr > h.cfg.MissThreshold && dMisses > 8 {
+	if mr := stats.Ratio(dMisses, dHits+dMisses); mr > missThreshold && dMisses > 8 {
 		congested = true
 	}
 	if !congested {
@@ -90,7 +87,7 @@ func (h *HostCC) monitor() {
 	}
 	now := m.Eng.Now()
 	for id, f := range m.Flows {
-		if last, ok := h.lastTrigger[id]; ok && now-last < h.cfg.Cooldown {
+		if last, ok := h.lastTrigger[id]; ok && now-last < cooldown {
 			continue
 		}
 		h.lastTrigger[id] = now

@@ -14,34 +14,13 @@ import (
 // Options configure the CEIO datapath. The boolean switches exist to
 // reproduce the paper's ablations (Table 4 evaluates CEIO with and
 // without the fast/slow path optimisations) and micro-benchmarks (Fig. 11
-// forces the slow path by setting a flow's credits to zero).
+// forces the slow path by setting a flow's credits to zero). Start from
+// DefaultOptions: the zero value turns off LazyRelease, CreditRealloc and
+// AsyncDrain, which is Table 4's ablation, not the paper's configuration.
 type Options struct {
 	// TotalCredits overrides C_total (0 = derive from the machine config
 	// via Eq. 1: LLC bytes / I/O buffer size).
 	TotalCredits int
-	// SWRingEntries sizes each flow's software ring.
-	SWRingEntries int
-	// ReadAhead bounds outstanding slow-path DMA reads per flow.
-	ReadAhead int
-	// SlowMarkDepth is the on-NIC backlog (packets) at which arriving
-	// slow-path packets are ECN-marked, triggering the CCA when the
-	// network's production rate exceeds the slow path's consumption rate
-	// (§4.1 Q2).
-	SlowMarkDepth int
-	// ControlOverhead is the per-packet latency added by the flow
-	// controller logic on the NIC's ARM cores (Table 3 measures it as a
-	// 1.10-1.48x latency overhead versus raw RDMA writes).
-	ControlOverhead sim.Time
-	// ScanPeriod is the active-flow scan interval (§4.1 Q3).
-	ScanPeriod sim.Time
-	// ReactivatePeriod is the round-robin re-activation backup timer.
-	ReactivatePeriod sim.Time
-	// ReactivateQuota is the credit grant given to a re-activated flow.
-	ReactivateQuota int
-	// InactiveScans is the number of consecutive idle scan periods after
-	// which a flow is declared inactive and its credits recycled (the
-	// paper uses a coarse ~1s timer; this is the scaled equivalent).
-	InactiveScans int
 
 	// ReclaimPeriod is the credit-reconciliation heartbeat, armed only
 	// when fault injection is enabled: credits whose release messages were
@@ -51,12 +30,6 @@ type Options struct {
 	// ReadTimeout is the slow-path DMA read retransmit timeout: a read
 	// whose completion was lost to an injected fault is reissued after it.
 	ReadTimeout sim.Time
-	// SteerRetryLimit bounds retries of a rejected steering-rule update
-	// before the controller gives up and pins the flow to the degraded
-	// slow path (a later reactivation probes the table again).
-	SteerRetryLimit int
-	// SteerRetryBase is the first retry's backoff; it doubles per attempt.
-	SteerRetryBase sim.Time
 
 	// LazyRelease enables the lazy credit release design choice of §4.1
 	// (credits return only at message-batch completion). Disabling it
@@ -81,21 +54,11 @@ type Options struct {
 // DefaultOptions returns the paper-faithful configuration.
 func DefaultOptions() Options {
 	return Options{
-		SWRingEntries:    8192,
-		ReadAhead:        16,
-		SlowMarkDepth:    64,
-		ControlOverhead:  150 * sim.Nanosecond,
-		ScanPeriod:       200 * sim.Microsecond,
-		ReactivatePeriod: 500 * sim.Microsecond,
-		ReactivateQuota:  64,
-		InactiveScans:    5,
-		ReclaimPeriod:    sim.Millisecond,
-		ReadTimeout:      25 * sim.Microsecond,
-		SteerRetryLimit:  4,
-		SteerRetryBase:   2 * sim.Microsecond,
-		LazyRelease:      true,
-		CreditRealloc:    true,
-		AsyncDrain:       true,
+		ReclaimPeriod: sim.Millisecond,
+		ReadTimeout:   25 * sim.Microsecond,
+		LazyRelease:   true,
+		CreditRealloc: true,
+		AsyncDrain:    true,
 	}
 }
 
@@ -224,41 +187,11 @@ type CEIO struct {
 // New constructs the CEIO datapath with opts.
 func New(opts Options) *CEIO {
 	d := DefaultOptions()
-	if opts.SWRingEntries == 0 {
-		opts.SWRingEntries = d.SWRingEntries
-	}
-	if opts.ReadAhead == 0 {
-		opts.ReadAhead = d.ReadAhead
-	}
-	if opts.SlowMarkDepth == 0 {
-		opts.SlowMarkDepth = d.SlowMarkDepth
-	}
-	if opts.ControlOverhead == 0 {
-		opts.ControlOverhead = d.ControlOverhead
-	}
-	if opts.ScanPeriod == 0 {
-		opts.ScanPeriod = d.ScanPeriod
-	}
-	if opts.ReactivatePeriod == 0 {
-		opts.ReactivatePeriod = d.ReactivatePeriod
-	}
-	if opts.ReactivateQuota == 0 {
-		opts.ReactivateQuota = d.ReactivateQuota
-	}
-	if opts.InactiveScans == 0 {
-		opts.InactiveScans = d.InactiveScans
-	}
 	if opts.ReclaimPeriod == 0 {
 		opts.ReclaimPeriod = d.ReclaimPeriod
 	}
 	if opts.ReadTimeout == 0 {
 		opts.ReadTimeout = d.ReadTimeout
-	}
-	if opts.SteerRetryLimit == 0 {
-		opts.SteerRetryLimit = d.SteerRetryLimit
-	}
-	if opts.SteerRetryBase == 0 {
-		opts.SteerRetryBase = d.SteerRetryBase
 	}
 	c := &CEIO{
 		opt:      opts,
@@ -303,11 +236,14 @@ func (c *CEIO) FaultsEnabled() {
 	c.adm.startFaults()
 }
 
+// swRingEntries sizes each flow's software ring.
+const swRingEntries int = 8192
+
 // FlowAdded allocates credits per Algorithm 1 and offloads the initial
 // fast-path steering rule to the RMT engine.
 func (c *CEIO) FlowAdded(f *iosys.Flow) {
 	c.ctrl.AddFlows(f.ID)
-	st := &flowState{f: f, sw: ring.NewSWRing(c.opt.SWRingEntries)}
+	st := &flowState{f: f, sw: ring.NewSWRing(swRingEntries)}
 	st.sw.FaultTolerant = c.faultMode
 	if c.opt.ForceSlowPath {
 		c.ctrl.Recycle(f.ID)
@@ -416,6 +352,11 @@ func (c *CEIO) getJob(st *flowState, p *pkt.Packet) *ctrlJob {
 	return j
 }
 
+// controlOverhead is the per-packet latency added by the flow controller
+// logic on the NIC's ARM cores (Table 3 measures it as a 1.10-1.48x
+// latency overhead versus raw RDMA writes).
+const controlOverhead sim.Time = 150 * sim.Nanosecond
+
 // Ingress implements the NIC-entrance decision of Figure 6: consume a
 // credit and take the legacy fast path, or divert to the elastic on-NIC
 // buffer. The control overhead models the flow controller logic on the
@@ -425,7 +366,7 @@ func (c *CEIO) Ingress(f *iosys.Flow, p *pkt.Packet) {
 	if st == nil {
 		return // flow torn down while the packet was on the wire
 	}
-	c.m.Eng.After(c.opt.ControlOverhead, ctrlDecide, c.getJob(st, p))
+	c.m.Eng.After(controlOverhead, ctrlDecide, c.getJob(st, p))
 }
 
 // ctrlDecide runs after the controller's processing window: steer the
@@ -470,6 +411,16 @@ func (c *CEIO) setSteer(st *flowState, a flowsteer.Action) {
 	c.trySteer(st, a, st.steerEpoch, 0)
 }
 
+// Steering-update retry policy under fault injection.
+const (
+	// steerRetryLimit bounds retries of a rejected steering-rule update
+	// before the controller gives up and pins the flow to the degraded
+	// slow path (a later reactivation probes the table again).
+	steerRetryLimit int = 4
+	// steerRetryBase is the first retry's backoff; it doubles per attempt.
+	steerRetryBase sim.Time = 2 * sim.Microsecond
+)
+
 func (c *CEIO) trySteer(st *flowState, a flowsteer.Action, epoch uint64, attempt int) {
 	if st.steerEpoch != epoch || c.flows[st.f.ID] != st {
 		return // superseded, or flow gone
@@ -481,12 +432,12 @@ func (c *CEIO) trySteer(st *flowState, a flowsteer.Action, epoch uint64, attempt
 	delay, fail := c.m.Faults.SteerUpdate()
 	if fail {
 		c.m.Steer.UpdateFailed()
-		if attempt >= c.opt.SteerRetryLimit {
+		if attempt >= steerRetryLimit {
 			c.steerFallback(st)
 			return
 		}
 		c.SteerRetries++
-		backoff := c.opt.SteerRetryBase << uint(attempt)
+		backoff := steerRetryBase << uint(attempt)
 		c.m.Eng.After(backoff, steerRetry, &steerStep{c, st, a, epoch, attempt + 1})
 		return
 	}
@@ -543,6 +494,14 @@ func (c *CEIO) steerFallback(st *flowState) {
 // reallocation timers.
 type creditAdmission struct{ c *CEIO }
 
+// Credit-reallocation timers (§4.1 Q3).
+const (
+	// scanPeriod is the active-flow scan interval (§4.1 Q3).
+	scanPeriod sim.Time = 200 * sim.Microsecond
+	// reactivatePeriod is the round-robin re-activation backup timer.
+	reactivatePeriod sim.Time = 500 * sim.Microsecond
+)
+
 // start carves per-core shares on a multi-queue machine and arms the
 // active-flow scan and the round-robin reactivation timer.
 func (a creditAdmission) start() {
@@ -553,8 +512,8 @@ func (a creditAdmission) start() {
 		c.coreShares = carveShares(c.ctrl.Total(), make([]int, c.m.Cfg.Cores))
 	}
 	if c.opt.CreditRealloc {
-		c.m.Eng.Every(c.opt.ScanPeriod, c.opt.ScanPeriod, c.scanActiveFlows)
-		c.m.Eng.Every(c.opt.ReactivatePeriod, c.opt.ReactivatePeriod, c.reactivateRoundRobin)
+		c.m.Eng.Every(scanPeriod, scanPeriod, c.scanActiveFlows)
+		c.m.Eng.Every(reactivatePeriod, reactivatePeriod, c.reactivateRoundRobin)
 	}
 }
 
@@ -725,6 +684,11 @@ func (c *CEIO) fastLanded(st *flowState, p *pkt.Packet) {
 	}
 }
 
+// slowMarkDepth is the on-NIC backlog (packets) at which arriving
+// slow-path packets are ECN-marked, triggering the CCA when the network's
+// production rate exceeds the slow path's consumption rate (§4.1 Q2).
+const slowMarkDepth int = 64
+
 func (c *CEIO) ingressSlow(st *flowState, p *pkt.Packet) {
 	c.m.Trace(trace.KindSlowPath, p.FlowID, p.Seq)
 	p.Path = pkt.PathSlow
@@ -739,7 +703,7 @@ func (c *CEIO) ingressSlow(st *flowState, p *pkt.Packet) {
 	// CCA trigger (§4.1 Q2): when the on-NIC backlog shows that network
 	// production outruns slow-path consumption, mark arriving packets so
 	// the sender's CCA converges to the slow path's drain capacity.
-	if st.onNIC >= c.opt.SlowMarkDepth {
+	if st.onNIC >= slowMarkDepth {
 		p.Marked = true
 		c.SlowMarks++
 	}
@@ -791,7 +755,7 @@ func (c *CEIO) slowArrived(st *flowState, p *pkt.Packet) {
 		return
 	}
 	if st.f.Kind == iosys.CPUBypass {
-		// Event-driven drain on the NIC cores (§4.1 Q2): keep ReadAhead
+		// Event-driven drain on the NIC cores (§4.1 Q2): keep readAhead
 		// DMA reads outstanding without any host CPU involvement.
 		st.waitQ = append(st.waitQ, p)
 		c.drainBypass(st)
@@ -822,10 +786,13 @@ func (c *CEIO) flushWaitQ(st *flowState) {
 	c.maybeResumeFast(st)
 }
 
+// readAhead bounds outstanding slow-path DMA reads per flow.
+const readAhead int = 16
+
 // issueReads starts asynchronous DMA reads for unready slow entries, up
 // to the read-ahead window (§4.2's async_recv overlap).
 func (c *CEIO) issueReads(st *flowState) {
-	budget := c.opt.ReadAhead - st.readsInFlight
+	budget := readAhead - st.readsInFlight
 	if budget <= 0 {
 		return
 	}
@@ -957,7 +924,7 @@ func (c *CEIO) drainBypass(st *flowState) {
 	if st.gone {
 		return // teardown already surrendered the queue
 	}
-	limit := c.opt.ReadAhead
+	limit := readAhead
 	if !c.opt.AsyncDrain {
 		limit = 1
 	}
@@ -1128,6 +1095,16 @@ func (c *CEIO) maybeResumeFast(st *flowState) {
 	c.Drains++
 }
 
+// Active-flow scan policy (§4.1 Q3).
+const (
+	// inactiveScans is the number of consecutive idle scan periods after
+	// which a flow is declared inactive and its credits recycled (the
+	// paper uses a coarse ~1s timer; this is the scaled equivalent).
+	inactiveScans int = 5
+	// reactivateQuota is the credit grant given to a re-activated flow.
+	reactivateQuota int = 64
+)
+
 // scanActiveFlows implements the active-flow strategy (§4.1 Q3): recycle
 // credits from inactive flows and from flows stuck on the slow path, then
 // top active fast-path flows back up toward their fair share.
@@ -1144,7 +1121,7 @@ func (c *CEIO) scanActiveFlows() {
 		} else {
 			st.idleScans = 0
 		}
-		inactive := st.idleScans >= c.opt.InactiveScans
+		inactive := st.idleScans >= inactiveScans
 		switch {
 		case inactive:
 			// Long-idle flows hold no credits at all (the paper's coarse
@@ -1155,7 +1132,7 @@ func (c *CEIO) scanActiveFlows() {
 			// Slow-path flows (more likely CPU-bypass) donate everything
 			// above a small reserve kept for their return to the fast
 			// path; the round-robin timer guarantees they come back.
-			if extra := c.ctrl.Available(st.f.ID) - c.opt.ReactivateQuota; extra > 0 {
+			if extra := c.ctrl.Available(st.f.ID) - reactivateQuota; extra > 0 {
 				c.ctrl.Take(st.f.ID, extra)
 			}
 		default:
@@ -1184,8 +1161,8 @@ func (c *CEIO) scanActiveFlows() {
 		if st == nil || !active[id] || st.mode != pkt.PathSlow {
 			continue
 		}
-		if have := c.ctrl.Available(id); have < c.opt.ReactivateQuota {
-			c.ctrl.Grant(id, c.opt.ReactivateQuota-have)
+		if have := c.ctrl.Available(id); have < reactivateQuota {
+			c.ctrl.Grant(id, reactivateQuota-have)
 		}
 	}
 	// Move per-core shares toward the cores that carry the active flows,
@@ -1207,7 +1184,7 @@ func (c *CEIO) reactivateRoundRobin() {
 		if st == nil || st.mode != pkt.PathSlow {
 			continue
 		}
-		c.ctrl.Grant(st.f.ID, c.opt.ReactivateQuota)
+		c.ctrl.Grant(st.f.ID, reactivateQuota)
 		c.maybeResumeFast(st)
 		return
 	}
@@ -1282,15 +1259,4 @@ func (c *CEIO) Degraded() int {
 		}
 	}
 	return n
-}
-
-// DebugFlow returns a one-line summary of a flow's elastic state
-// (diagnostics and tests).
-func (c *CEIO) DebugFlow(id int) string {
-	st := c.flows[id]
-	if st == nil {
-		return "<none>"
-	}
-	return fmt.Sprintf("mode=%v onNIC=%d waitQ=%d reads=%d swLen=%d unreleased=%d",
-		st.mode, st.onNIC, st.wqLen(), st.readsInFlight, st.sw.Len(), st.unreleased)
 }

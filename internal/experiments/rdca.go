@@ -44,7 +44,7 @@ func rdcaVariants(cfg Config) []rdcaVariant {
 	}
 	vs = append(vs, rdcaVariant{
 		"RDCA adaptive",
-		func() iosys.Datapath { return rdca.New(rdca.DefaultOptions()) },
+		func() iosys.Datapath { return rdca.New(rdca.Options{}) },
 	})
 	return vs
 }

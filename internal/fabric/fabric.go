@@ -224,9 +224,6 @@ func (s *Switch) DownPorts() int {
 	return n
 }
 
-// CapacityFactor returns the current line-rate scale (1 = full).
-func (s *Switch) CapacityFactor() float64 { return s.capFactor }
-
 // SetPortDown flaps egress port p: while down it drops arrivals and
 // pauses service start (a frame mid-serialization finishes; queued
 // frames wait for the port to come back).

@@ -55,27 +55,15 @@ type Config struct {
 
 	// ProbePeriod is the balancer's health-probe interval.
 	ProbePeriod sim.Time
-	// ProbeMiss consecutive missed probes declare a host dead.
-	ProbeMiss int
-	// ProbeRise consecutive answered probes revive a declared-dead host.
-	ProbeRise int
 	// DrainDeadline bounds how long a dead host's flow may remain
 	// unplaced before the flow-lost-after-drain invariant flags it.
 	DrainDeadline sim.Time
-	// MigrationRTT is the balancer's think time before the first
-	// handshake leg of a migration leaves (the wire latency itself now
-	// comes from the fabric).
-	MigrationRTT sim.Time
 	// RetryBase is the bounded-backoff base for failed migration
 	// attempts (attempt k waits RetryBase << k-1).
 	RetryBase sim.Time
 	// RetryLimit caps migration attempts per flow; past it the flow is
 	// stranded until a host revival rescues it.
 	RetryLimit int
-	// HandshakeTimeout is how long the balancer waits for a drain or
-	// establish acknowledgement before retrying — the loss recovery for
-	// control frames the fabric tail-dropped or a flapped port ate.
-	HandshakeTimeout sim.Time
 
 	// Fabric is the ToR switch model all balancer↔host traffic crosses.
 	// Ports must cover Hosts+1: host i attaches to port i and the
@@ -100,18 +88,14 @@ type Config struct {
 // and architecture over the paper-calibrated machine.
 func DefaultConfig(hosts int, method workload.Method) Config {
 	return Config{
-		Hosts:            hosts,
-		Machine:          iosys.DefaultConfig(),
-		Method:           method,
-		ProbePeriod:      100 * sim.Microsecond,
-		ProbeMiss:        3,
-		ProbeRise:        2,
-		DrainDeadline:    sim.Millisecond,
-		MigrationRTT:     2 * sim.Microsecond,
-		RetryBase:        20 * sim.Microsecond,
-		RetryLimit:       6,
-		HandshakeTimeout: 25 * sim.Microsecond,
-		Fabric:           fabric.DefaultConfig(hosts + 1),
+		Hosts:         hosts,
+		Machine:       iosys.DefaultConfig(),
+		Method:        method,
+		ProbePeriod:   100 * sim.Microsecond,
+		DrainDeadline: sim.Millisecond,
+		RetryBase:     20 * sim.Microsecond,
+		RetryLimit:    6,
+		Fabric:        fabric.DefaultConfig(hosts + 1),
 	}
 }
 
@@ -123,13 +107,9 @@ func (c Config) Validate() error {
 	}{
 		{c.Hosts >= 1, "Hosts >= 1"},
 		{c.ProbePeriod > 0, "ProbePeriod > 0"},
-		{c.ProbeMiss >= 1, "ProbeMiss >= 1"},
-		{c.ProbeRise >= 1, "ProbeRise >= 1"},
 		{c.DrainDeadline > 0, "DrainDeadline > 0"},
-		{c.MigrationRTT >= 0, "MigrationRTT >= 0"},
 		{c.RetryBase > 0, "RetryBase > 0"},
 		{c.RetryLimit >= 0, "RetryLimit >= 0"},
-		{c.HandshakeTimeout > 0, "HandshakeTimeout > 0"},
 		{c.Fabric.Ports >= c.Hosts+1, "Fabric.Ports >= Hosts+1"},
 		{len(c.Plans) <= c.Hosts, "len(Plans) <= Hosts"},
 	}
@@ -221,10 +201,6 @@ type Host struct {
 	flapApplied bool
 	cutApplied  bool
 }
-
-// Down reports ground truth: the host's crash window is open. Callers
-// outside the host's own shard should only read this between runs.
-func (h *Host) Down() bool { return h.down }
 
 // Live reports the balancer's view of the host.
 func (h *Host) Live() bool { return h.live }
@@ -609,9 +585,17 @@ func (f *Fleet) ctlRecv(src int, m netMsg) {
 
 // --- balancer: probes and declarations -----------------------------------
 
+// Failure-detector thresholds, counted in consecutive probe ticks.
+const (
+	// probeMiss consecutive missed probes declare a host dead.
+	probeMiss int = 3
+	// probeRise consecutive answered probes revive a declared-dead host.
+	probeRise int = 2
+)
+
 // probeTick is the balancer's health sweep: score last tick's probe
 // (unanswered = miss), then send this tick's, one per host in index
-// order. ProbeMiss consecutive misses declare a host dead, ProbeRise
+// order. probeMiss consecutive misses declare a host dead, probeRise
 // consecutive answers revive it. Misses now cover real crashes AND
 // fabric loss — a flapped port blackholes heartbeats just like a dead
 // host, which is precisely how a real rack's failure detector behaves.
@@ -622,14 +606,14 @@ func (f *Fleet) probeTick() {
 				f.Stats.ProbesMissed++
 				h.good = 0
 				h.missed++
-				if h.live && h.missed >= f.Cfg.ProbeMiss {
+				if h.live && h.missed >= probeMiss {
 					f.declareDead(h)
 				}
 			} else {
 				h.missed = 0
 				if !h.live {
 					h.good++
-					if h.good >= f.Cfg.ProbeRise {
+					if h.good >= probeRise {
 						f.declareLive(h)
 					}
 				}
@@ -688,6 +672,11 @@ func (f *Fleet) declareLive(h *Host) {
 
 // --- balancer: migration handshake ---------------------------------------
 
+// migrationRTT is the balancer's think time before the first handshake
+// leg of a migration leaves (the wire latency itself comes from the
+// fabric).
+const migrationRTT sim.Time = 2 * sim.Microsecond
+
 // armMigration schedules the next migration attempt one control
 // think-time out, invalidating older scheduled attempts and in-flight
 // replies via the epoch. Drain progress (drained/target) survives a
@@ -699,7 +688,7 @@ func (f *Fleet) armMigration(id int, p *placement) {
 	p.epoch++
 	p.tries++
 	epoch := p.epoch
-	f.Eng.After(f.Cfg.MigrationRTT, func(any) { f.tryMigrate(id, epoch) }, nil)
+	f.Eng.After(migrationRTT, func(any) { f.tryMigrate(id, epoch) }, nil)
 }
 
 // tryMigrate runs one step of the two-phase migration handshake: drain
@@ -736,6 +725,11 @@ func (f *Fleet) tryMigrate(id int, epoch uint64) {
 	f.sendEstablish(id, p)
 }
 
+// handshakeTimeout is how long the balancer waits for a drain or
+// establish acknowledgement before retrying — the loss recovery for
+// control frames the fabric tail-dropped or a flapped port ate.
+const handshakeTimeout sim.Time = 25 * sim.Microsecond
+
 // sendDrain transmits the drain leg to the flow's current holder and
 // arms its loss timeout.
 func (f *Fleet) sendDrain(id int, p *placement) {
@@ -743,7 +737,7 @@ func (f *Fleet) sendDrain(id int, p *placement) {
 	p.tries++
 	epoch, tries := p.epoch, p.tries
 	f.ctlSend(p.host, drainReqBytes, netMsg{kind: kDrainReq, flow: id, seq: epoch, tries: tries})
-	f.Eng.After(f.Cfg.HandshakeTimeout, func(any) {
+	f.Eng.After(handshakeTimeout, func(any) {
 		if p.migrating && p.epoch == epoch && p.tries == tries {
 			f.retryMigrate(id, p)
 		}
@@ -759,7 +753,7 @@ func (f *Fleet) sendEstablish(id int, p *placement) {
 	epoch, tries := p.epoch, p.tries
 	f.ctlSend(p.target, establishReqBytes,
 		netMsg{kind: kEstablishReq, flow: id, seq: epoch, tries: tries, spec: p.spec})
-	f.Eng.After(f.Cfg.HandshakeTimeout, func(any) {
+	f.Eng.After(handshakeTimeout, func(any) {
 		if !p.migrating || p.epoch != epoch || p.tries != tries {
 			return
 		}

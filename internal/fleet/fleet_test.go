@@ -16,7 +16,6 @@ func testConfig(hosts int) Config {
 	cfg := DefaultConfig(hosts, workload.MethodCEIO)
 	cfg.ProbePeriod = 10 * sim.Microsecond
 	cfg.DrainDeadline = 200 * sim.Microsecond
-	cfg.MigrationRTT = 2 * sim.Microsecond
 	cfg.RetryBase = 5 * sim.Microsecond
 	return cfg
 }

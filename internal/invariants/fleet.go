@@ -39,22 +39,16 @@ type FleetView interface {
 	// ExpectedHostCredits returns the C_total host i's credit controller
 	// was built with (0 when host i runs a creditless datapath).
 	ExpectedHostCredits(i int) int
-}
-
-// FabricView is the optional extension a fleet with a ToR switch model
-// exposes: both ledgers must satisfy injected == delivered + dropped +
-// queued at every sweep, or the fabric is minting or eating traffic.
-type FabricView interface {
-	// FabricBytes returns the switch's byte ledger.
+	// FabricBytes returns the ToR switch's byte ledger; it must satisfy
+	// injected == delivered + dropped + queued at every sweep, or the
+	// fabric is minting or eating traffic.
 	FabricBytes() (injected, delivered, dropped, queued uint64)
-	// FabricFrames returns the switch's frame ledger.
+	// FabricFrames returns the switch's frame ledger, same identity.
 	FabricFrames() (injected, delivered, dropped, queued uint64)
 }
 
-// FleetAuditor sweeps fleet-level invariants — periodically on an
-// engine (AttachFleet) or explicitly at epoch barriers (NewFleetAuditor
-// plus SweepAt, the sharded fleet's mode, where barriers are the only
-// points cross-shard state is coherent). Per-host invariants (credit
+// FleetAuditor sweeps fleet-level invariants at epoch barriers
+// (SweepAt), the only points where cross-shard state is coherent. Per-host invariants (credit
 // ledger, elastic bytes, ring protocol) remain the per-machine Auditor's
 // job; this auditor owns only the cross-host rules.
 type FleetAuditor struct {
@@ -73,17 +67,6 @@ type FleetAuditor struct {
 // it with SweepAt (and Final, which stamps violations via now).
 func NewFleetAuditor(v FleetView, now func() sim.Time) *FleetAuditor {
 	return &FleetAuditor{v: v, now: now}
-}
-
-// AttachFleet arms the fleet auditor on the rack's shared engine with the
-// given sweep period.
-func AttachFleet(eng *sim.Engine, v FleetView, period sim.Time) *FleetAuditor {
-	if period <= 0 {
-		period = 100 * sim.Microsecond
-	}
-	a := NewFleetAuditor(v, eng.Now)
-	eng.Every(period, period, func() { a.SweepAt(eng.Now()) })
-	return a
 }
 
 func (a *FleetAuditor) record(now sim.Time, rule, detail string) {
@@ -163,15 +146,13 @@ func (a *FleetAuditor) SweepAt(now sim.Time) {
 	// Fabric conservation: the ToR switch neither mints nor eats traffic.
 	// Everything injected is delivered, dropped, or still queued — in
 	// bytes and in frames.
-	if fv, ok := a.v.(FabricView); ok {
-		if inj, del, drop, q := fv.FabricBytes(); inj != del+drop+q {
-			a.record(now, "fabric-byte-conservation",
-				fmt.Sprintf("injected=%d delivered=%d dropped=%d queued=%d", inj, del, drop, q))
-		}
-		if inj, del, drop, q := fv.FabricFrames(); inj != del+drop+q {
-			a.record(now, "fabric-frame-conservation",
-				fmt.Sprintf("injected=%d delivered=%d dropped=%d queued=%d", inj, del, drop, q))
-		}
+	if inj, del, drop, q := a.v.FabricBytes(); inj != del+drop+q {
+		a.record(now, "fabric-byte-conservation",
+			fmt.Sprintf("injected=%d delivered=%d dropped=%d queued=%d", inj, del, drop, q))
+	}
+	if inj, del, drop, q := a.v.FabricFrames(); inj != del+drop+q {
+		a.record(now, "fabric-frame-conservation",
+			fmt.Sprintf("injected=%d delivered=%d dropped=%d queued=%d", inj, del, drop, q))
 	}
 }
 

@@ -472,10 +472,6 @@ func (m *Machine) Core(id int) *Core {
 	return nil
 }
 
-// QueueCores returns the per-queue cores of a multi-queue machine (nil on
-// legacy Cores == 0 machines).
-func (m *Machine) QueueCores() []*Core { return m.queues }
-
 // scheduleNextPacket paces the flow generator at its current CC rate,
 // subject to the congestion window: a sender never has more than
 // rate x RTT bytes in flight, so receiver-side consumption (deliveries)

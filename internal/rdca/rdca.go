@@ -45,75 +45,13 @@ import (
 	"ceio/internal/sim"
 )
 
-// Options configure the RDCA datapath. Zero fields take defaults from
-// DefaultOptions (the core.Options idiom), so tests can override one
-// knob without restating the rest.
+// Options configure the RDCA datapath. The zero value is the
+// receiver-driven default.
 type Options struct {
-	// InitialWindow is the per-partition starting window in I/O buffers.
-	InitialWindow int
-	// MinWindow is the shrink floor: the window never drops below it, so
-	// a flow can always keep a few buffers in flight.
-	MinWindow int
-	// GrowStep is the additive window increase applied when an adjust
-	// tick finds the window saturated and no eviction pressure.
-	GrowStep int
-	// ResidencyTarget scales the window cap: the fraction of the
-	// partition's Eq. 1 budget the in-flight set may pin. Below 1.0 the
-	// resident rx set leaves LLC headroom for application state.
-	ResidencyTarget float64
-	// AdjustPeriod is the window controller's tick on the engine clock.
-	AdjustPeriod sim.Time
-	// ImminenceBufs is the LRU-tail distance, in I/O buffers, within
-	// which a tagged in-flight buffer counts as eviction-imminent.
-	ImminenceBufs int
-	// ControlOverhead is the receiver-side per-packet cost of the window
-	// check — a host-driver comparison, not CEIO's on-NIC ARM-core
-	// credit controller, hence an order of magnitude cheaper.
-	ControlOverhead sim.Time
 	// FixedWindow, when positive, pins every partition's window (the
 	// rdca experiment's window sweep); the controller still tracks
 	// eviction and imminence counters but never resizes.
 	FixedWindow int
-}
-
-// DefaultOptions returns the receiver-driven defaults.
-func DefaultOptions() Options {
-	return Options{
-		InitialWindow:   64,
-		MinWindow:       8,
-		GrowStep:        8,
-		ResidencyTarget: 0.5,
-		AdjustPeriod:    20 * sim.Microsecond,
-		ImminenceBufs:   4,
-		ControlOverhead: 20 * sim.Nanosecond,
-	}
-}
-
-// withDefaults fills zero fields from DefaultOptions.
-func (o Options) withDefaults() Options {
-	d := DefaultOptions()
-	if o.InitialWindow == 0 {
-		o.InitialWindow = d.InitialWindow
-	}
-	if o.MinWindow == 0 {
-		o.MinWindow = d.MinWindow
-	}
-	if o.GrowStep == 0 {
-		o.GrowStep = d.GrowStep
-	}
-	if o.ResidencyTarget == 0 {
-		o.ResidencyTarget = d.ResidencyTarget
-	}
-	if o.AdjustPeriod == 0 {
-		o.AdjustPeriod = d.AdjustPeriod
-	}
-	if o.ImminenceBufs == 0 {
-		o.ImminenceBufs = d.ImminenceBufs
-	}
-	if o.ControlOverhead == 0 {
-		o.ControlOverhead = d.ControlOverhead
-	}
-	return o
 }
 
 // flowState is the per-flow driver state.
@@ -142,7 +80,7 @@ type job struct {
 // repartitioning moves the caps with the ways.
 type partWindow struct {
 	window   int // current admission window (I/O buffers)
-	cap      int // Eq. 1 budget x ResidencyTarget
+	cap      int // Eq. 1 budget x residencyTarget
 	inFlight int // admitted buffers not yet delivered
 
 	// pend is the FIFO of arrivals awaiting window admission. Popping
@@ -181,13 +119,21 @@ type RDCA struct {
 	PendDrops       uint64 // bypass arrivals dropped by the parked-backlog bound
 }
 
-// New returns an RDCA datapath; zero Options fields take defaults.
+// New returns an RDCA datapath.
 func New(opts Options) *RDCA {
-	return &RDCA{opt: opts.withDefaults()}
+	return &RDCA{opt: opts}
 }
 
 // Name implements iosys.Datapath.
 func (d *RDCA) Name() string { return "RDCA" }
+
+// Window controller timing.
+const (
+	// initialWindow is the per-partition starting window in I/O buffers.
+	initialWindow int = 64
+	// adjustPeriod is the window controller's tick on the engine clock.
+	adjustPeriod sim.Time = 20 * sim.Microsecond
+)
 
 // Attach implements iosys.Datapath: size the per-partition windows from
 // the live LLC carve (the tenant registry partitioned it before the
@@ -198,7 +144,7 @@ func (d *RDCA) Attach(m *iosys.Machine) {
 	for pi := range d.wins {
 		pw := &d.wins[pi]
 		pw.cap = d.capBufs(pi)
-		pw.window = d.opt.InitialWindow
+		pw.window = initialWindow
 		if d.opt.FixedWindow > 0 {
 			pw.window = d.opt.FixedWindow
 		} else if pw.window > pw.cap {
@@ -208,16 +154,27 @@ func (d *RDCA) Attach(m *iosys.Machine) {
 	d.inflight = make(map[cache.BufID]int, 1024)
 	d.pred = func(id cache.BufID) bool { _, ok := d.inflight[id]; return ok }
 	m.OnIOEvict = d.onIOEvict
-	m.Eng.Every(d.opt.AdjustPeriod, d.opt.AdjustPeriod, d.adjust)
+	m.Eng.Every(adjustPeriod, adjustPeriod, d.adjust)
 }
+
+// Window bounds.
+const (
+	// residencyTarget scales the window cap: the fraction of the
+	// partition's Eq. 1 budget the in-flight set may pin. Below 1.0 the
+	// resident rx set leaves LLC headroom for application state.
+	residencyTarget float64 = 0.5
+	// minWindow is the shrink floor: the window never drops below it, so
+	// a flow can always keep a few buffers in flight.
+	minWindow int = 8
+)
 
 // capBufs returns partition pi's window cap in I/O buffers: the per-
 // partition Eq. 1 budget (the same number tenant.Registry.Credits hands
 // CEIO's per-tenant credit gate) scaled by the residency target.
 func (d *RDCA) capBufs(pi int) int {
-	c := int(float64(d.m.LLC.PartCapacity(pi)) * d.opt.ResidencyTarget / float64(d.m.Cfg.IOBufSize))
-	if c < d.opt.MinWindow {
-		c = d.opt.MinWindow
+	c := int(float64(d.m.LLC.PartCapacity(pi)) * residencyTarget / float64(d.m.Cfg.IOBufSize))
+	if c < minWindow {
+		c = minWindow
 	}
 	return c
 }
@@ -268,6 +225,11 @@ func (d *RDCA) getJob(f *iosys.Flow, p *pkt.Packet) *job {
 	return j
 }
 
+// controlOverhead is the receiver-side per-packet cost of the window
+// check — a host-driver comparison, not CEIO's on-NIC ARM-core credit
+// controller, hence an order of magnitude cheaper.
+const controlOverhead sim.Time = 20 * sim.Nanosecond
+
 // Ingress posts the packet to the flow's rx ring and runs the window
 // check after the (small) receiver-side control overhead.
 func (d *RDCA) Ingress(f *iosys.Flow, p *pkt.Packet) {
@@ -294,12 +256,7 @@ func (d *RDCA) Ingress(f *iosys.Flow, p *pkt.Packet) {
 	if st.rx != nil {
 		st.rx.Post(p)
 	}
-	j := d.getJob(f, p)
-	if d.opt.ControlOverhead > 0 {
-		d.m.Eng.After(d.opt.ControlOverhead, decide, j)
-	} else {
-		decide(j)
-	}
+	d.m.Eng.After(controlOverhead, decide, d.getJob(f, p))
 }
 
 // decide admits the packet when the partition window has room, else
@@ -394,6 +351,16 @@ func (d *RDCA) onIOEvict(id cache.BufID) {
 	d.wins[part].evictedTick++
 }
 
+// Window resize policy.
+const (
+	// growStep is the additive window increase applied when an adjust
+	// tick finds the window saturated and no eviction pressure.
+	growStep int = 8
+	// imminenceBufs is the LRU-tail distance, in I/O buffers, within
+	// which a tagged in-flight buffer counts as eviction-imminent.
+	imminenceBufs int = 4
+)
+
 // adjust is the window controller tick: refresh the cap from the live
 // partition carve, resize on eviction/imminence/saturation, and admit
 // parked arrivals into any freed window.
@@ -408,21 +375,21 @@ func (d *RDCA) adjust() {
 			case pw.evictedTick > 0:
 				// Residency was lost: halve toward the floor.
 				pw.window /= 2
-				if pw.window < d.opt.MinWindow {
-					pw.window = d.opt.MinWindow
+				if pw.window < minWindow {
+					pw.window = minWindow
 				}
 				d.EvictShrinks++
-			case d.m.LLC.ImminentIn(pi, int64(d.opt.ImminenceBufs*d.m.Cfg.IOBufSize), d.pred) > 0:
+			case d.m.LLC.ImminentIn(pi, int64(imminenceBufs*d.m.Cfg.IOBufSize), d.pred) > 0:
 				// In-flight buffers near the eviction tail: back off
 				// gently before residency is actually lost.
 				pw.window -= pw.window / 8
-				if pw.window < d.opt.MinWindow {
-					pw.window = d.opt.MinWindow
+				if pw.window < minWindow {
+					pw.window = minWindow
 				}
 				d.ImminentShrinks++
 			case pw.inFlight >= pw.window:
 				// Saturated and cache-clean: probe upward.
-				pw.window += d.opt.GrowStep
+				pw.window += growStep
 				d.Grows++
 			}
 			if pw.window > pw.cap {
@@ -454,22 +421,8 @@ func (d *RDCA) Window(pi int) int { return d.wins[pi].window }
 // WindowCap returns partition pi's window cap in buffers.
 func (d *RDCA) WindowCap(pi int) int { return d.wins[pi].cap }
 
-// InFlight returns partition pi's admitted-but-undelivered buffer count.
-func (d *RDCA) InFlight(pi int) int { return d.wins[pi].inFlight }
-
 // Pending returns partition pi's parked arrival count.
 func (d *RDCA) Pending(pi int) int { return d.wins[pi].pendLen() }
-
-// InflightTagged returns the number of tagged in-flight rx buffers (the
-// imminence predicate's domain); tests audit it against the window sums.
-func (d *RDCA) InflightTagged() int { return len(d.inflight) }
-
-// Tagged reports whether id is a tagged in-flight rx buffer — the same
-// membership the imminence predicate answers.
-func (d *RDCA) Tagged(id cache.BufID) bool {
-	_, ok := d.inflight[id]
-	return ok
-}
 
 // AuditWindows checks the conservation invariants the property tests
 // and chaos auditor rely on: per-partition inFlight and pending counts

@@ -34,7 +34,7 @@ func TestWindowConservationUnderRepartitioning(t *testing.T) {
 	}
 	cfg := iosys.DefaultConfig()
 	cfg.Tenancy = &tenant.Config{Mode: tenant.ModeDynamic, Specs: specs}
-	dp := rdca.New(rdca.DefaultOptions())
+	dp := rdca.New(rdca.Options{})
 	m := iosys.NewMachine(cfg, dp)
 
 	kv := kvSpec(1)
@@ -72,7 +72,7 @@ func TestWindowConservationUnderRepartitioning(t *testing.T) {
 // recycled before eviction, so the run finishes with zero LLC misses —
 // the cache-resident rx path RDCA promises.
 func TestRecyclingKeepsResidency(t *testing.T) {
-	m := iosys.NewMachine(iosys.DefaultConfig(), rdca.New(rdca.DefaultOptions()))
+	m := iosys.NewMachine(iosys.DefaultConfig(), rdca.New(rdca.Options{}))
 	kv := kvSpec(1)
 	kv.InitialRate = 4e9 / 8
 	kv.FixedRate = true
@@ -95,9 +95,7 @@ func TestRecyclingKeepsResidency(t *testing.T) {
 // fleet migration) drains its parked arrivals as drops and leaves no
 // stale entries behind for the auditor to find.
 func TestFlowRemovedDrainsParkedPackets(t *testing.T) {
-	opts := rdca.DefaultOptions()
-	opts.FixedWindow = 4 // tiny window: arrivals park immediately
-	dp := rdca.New(opts)
+	dp := rdca.New(rdca.Options{FixedWindow: 4}) // tiny window: arrivals park immediately
 	m := iosys.NewMachine(iosys.DefaultConfig(), dp)
 	m.AddFlow(dfsSpec(1))
 	m.Run(500 * sim.Microsecond)
@@ -121,7 +119,7 @@ func TestFlowRemovedDrainsParkedPackets(t *testing.T) {
 }
 
 // TestControllerReactsToCachePressure squeezes the DDIO region below
-// what even the MinWindow floor of in-flight buffers occupies
+// what even the minWindow floor of in-flight buffers occupies
 // (8 × 2 KB in an 8 KB partition), so residency is unholdable: the
 // eviction sink must see tagged buffers pushed out, the imminence
 // probe must see survivors crowding the LRU tail, and both shrink
@@ -130,7 +128,7 @@ func TestFlowRemovedDrainsParkedPackets(t *testing.T) {
 func TestControllerReactsToCachePressure(t *testing.T) {
 	cfg := iosys.DefaultConfig()
 	cfg.LLCBytes = 8 << 10
-	dp := rdca.New(rdca.DefaultOptions())
+	dp := rdca.New(rdca.Options{})
 	m := iosys.NewMachine(cfg, dp)
 	slow := iosys.FlowSpec{
 		ID: 1, Kind: iosys.CPUInvolved, PktSize: 2048, MsgPkts: 1,
@@ -160,9 +158,7 @@ func TestControllerReactsToCachePressure(t *testing.T) {
 // TestFixedWindowPinsController checks the sweep knob: a FixedWindow
 // datapath never resizes, whatever the pressure.
 func TestFixedWindowPinsController(t *testing.T) {
-	opts := rdca.DefaultOptions()
-	opts.FixedWindow = 32
-	dp := rdca.New(opts)
+	dp := rdca.New(rdca.Options{FixedWindow: 32})
 	m := iosys.NewMachine(iosys.DefaultConfig(), dp)
 	m.AddFlow(dfsSpec(1))
 	m.Run(5 * sim.Millisecond)

@@ -143,6 +143,12 @@ func (s *Spec) Validate() error {
 		if f.PktSize < 0 {
 			return fmt.Errorf("scenario: flow %d pkt_size must be non-negative, got %d", f.ID, f.PktSize)
 		}
+		if f.ChunkPkts < 0 {
+			return fmt.Errorf("scenario: flow %d chunk_pkts must be non-negative, got %d", f.ID, f.ChunkPkts)
+		}
+		if f.RateGbps < 0 {
+			return fmt.Errorf("scenario: flow %d rate_gbps must be non-negative, got %v", f.ID, f.RateGbps)
+		}
 		if _, err := buildSpec(f); err != nil {
 			return err
 		}

@@ -10,7 +10,7 @@ import (
 // thrash without benefit (or sit idle) toward tenants whose misses are
 // capacity-driven. The discriminator is trial growth with measured
 // benefit: a grown tenant that does not improve its miss rate by
-// GrowBenefit before the next trusted sample is latched saturated (its
+// growBenefit before the next trusted sample is latched saturated (its
 // working set exceeds any allocation it could get — a streaming tenant)
 // and turns from grantee into donor until its miss rate actually drops.
 //
@@ -31,7 +31,7 @@ type Controller struct {
 // growState is the controller's per-tenant memory between scans.
 type growState struct {
 	// pendingGrow marks that the tenant was granted a way and the next
-	// trusted sample must show GrowBenefit improvement over rateAtGrow.
+	// trusted sample must show growBenefit improvement over rateAtGrow.
 	pendingGrow bool
 	rateAtGrow  float64
 	// saturated latches a tenant whose trial growth bought nothing;
@@ -44,7 +44,7 @@ type tenantView struct {
 	t       *Tenant
 	rate    float64
 	samples uint64
-	trusted bool // samples >= MinSamples
+	trusted bool // samples >= minSamples
 	occ     int64
 	cap     int64
 }
@@ -72,6 +72,26 @@ func (c *Controller) Stop() {
 	}
 }
 
+// Repartitioning thresholds.
+const (
+	// growMissRate is the per-window miss rate at (or above) which a
+	// tenant with a full partition is considered capacity-hungry.
+	growMissRate float64 = 0.05
+	// shrinkMissRate is the miss rate at (or below) which a tenant is a
+	// safe donor.
+	shrinkMissRate float64 = 0.01
+	// occupancyHigh is the occupancy fraction above which misses are
+	// attributed to capacity rather than cold buffers.
+	occupancyHigh float64 = 0.85
+	// growBenefit is the absolute miss-rate improvement a grown tenant
+	// must show by the next scan; otherwise it is marked saturated
+	// (thrashing without benefit) and becomes a donor.
+	growBenefit float64 = 0.02
+	// minSamples is the minimum accesses in a scan window before its
+	// miss rate is trusted.
+	minSamples uint64 = 32
+)
+
 // ScanOnce runs one repartitioning round: sample, update saturation
 // latches, pick needy tenants and donors, move at most one way per needy
 // tenant, then reset the scan window. Exported for tests and the fuzz
@@ -81,14 +101,13 @@ func (c *Controller) ScanOnce() {
 	if r.cfg.Mode != ModeDynamic {
 		return
 	}
-	cfg := r.cfg
 	views := make([]tenantView, len(r.tenants))
 	for i, t := range r.tenants {
 		samples := t.winHits + t.winMisses
 		v := tenantView{
 			t:       t,
 			samples: samples,
-			trusted: samples >= cfg.MinSamples,
+			trusted: samples >= minSamples,
 			occ:     r.llc.PartOccupancy(t.Part),
 			cap:     r.llc.PartCapacity(t.Part),
 		}
@@ -104,7 +123,7 @@ func (c *Controller) ScanOnce() {
 		v := &views[i]
 		st := &c.states[i]
 		if st.pendingGrow && v.trusted {
-			if st.rateAtGrow-v.rate < cfg.GrowBenefit {
+			if st.rateAtGrow-v.rate < growBenefit {
 				if !st.saturated {
 					st.saturated = true
 					c.Saturations++
@@ -112,7 +131,7 @@ func (c *Controller) ScanOnce() {
 			}
 			st.pendingGrow = false
 		}
-		if st.saturated && v.trusted && v.rate <= cfg.ShrinkMissRate {
+		if st.saturated && v.trusted && v.rate <= shrinkMissRate {
 			st.saturated = false
 		}
 	}
@@ -125,12 +144,12 @@ func (c *Controller) ScanOnce() {
 	for i := range views {
 		v := &views[i]
 		st := &c.states[i]
-		full := float64(v.occ) >= cfg.OccupancyHigh*float64(v.cap)
+		full := float64(v.occ) >= occupancyHigh*float64(v.cap)
 		switch {
-		case !st.saturated && v.trusted && v.rate >= cfg.GrowMissRate && full:
+		case !st.saturated && v.trusted && v.rate >= growMissRate && full:
 			needy = append(needy, *v)
 		case v.t.Ways > v.t.MinWays &&
-			(!v.trusted || v.rate <= cfg.ShrinkMissRate || st.saturated || !full):
+			(!v.trusted || v.rate <= shrinkMissRate || st.saturated || !full):
 			donor[i] = true
 		}
 	}

@@ -8,7 +8,7 @@
 //
 // The substitution argument mirrors the cache model's: real CAT assigns
 // each tenant a waymask over the LLC's ways and the replacement policy
-// evicts within the mask. Here a way is LLCBytes/Ways bytes of capacity
+// evicts within the mask. Here a way is LLCBytes/ways bytes of capacity
 // and each tenant's mask worth of ways is an independent LRU partition —
 // same isolation boundary, same flush-on-shrink semantics when a way is
 // reassigned, byte-accounted instead of line-accounted. Per-tenant
@@ -85,72 +85,28 @@ type Config struct {
 	// Mode selects shared accounting, static partitions, or dynamic
 	// repartitioning.
 	Mode Mode
-	// Ways is the number of ways the DDIO region is divided into
-	// (default 6, matching the testbed's 6-of-12-way DDIO carve: one
-	// simulated way per physical way given to DDIO).
-	Ways int
 	// Specs lists the tenants. In partitioned modes their quotas must
-	// fit in Ways; leftover ways form a shared pool that untagged flows
-	// use and the dynamic controller draws on first.
+	// fit in the region's ways; leftover ways form a shared pool that
+	// untagged flows use and the dynamic controller draws on first.
 	Specs []Spec
-
-	// Dynamic-controller knobs (ModeDynamic only; zero values select the
-	// defaults in brackets).
-	//
-	// Period is the scan interval on the simulation clock [250µs].
+	// Period is the dynamic controller's scan interval on the simulation
+	// clock (ModeDynamic only; zero selects DefaultPeriod).
 	Period sim.Time
-	// GrowMissRate is the per-window miss rate at (or above) which a
-	// tenant with a full partition is considered capacity-hungry [0.05].
-	GrowMissRate float64
-	// ShrinkMissRate is the miss rate at (or below) which a tenant is a
-	// safe donor [0.01].
-	ShrinkMissRate float64
-	// OccupancyHigh is the occupancy fraction above which misses are
-	// attributed to capacity rather than cold buffers [0.85].
-	OccupancyHigh float64
-	// GrowBenefit is the absolute miss-rate improvement a grown tenant
-	// must show by the next scan; otherwise it is marked saturated
-	// (thrashing without benefit) and becomes a donor [0.02].
-	GrowBenefit float64
-	// MinSamples is the minimum accesses in a scan window before its
-	// miss rate is trusted [32].
-	MinSamples uint64
 }
 
-// Defaults for the dynamic controller.
-const (
-	DefaultWays           = 6
-	DefaultPeriod         = 250 * sim.Microsecond
-	DefaultGrowMissRate   = 0.05
-	DefaultShrinkMissRate = 0.01
-	DefaultOccupancyHigh  = 0.85
-	DefaultGrowBenefit    = 0.02
-	DefaultMinSamples     = 32
-)
+// DefaultPeriod is the dynamic controller's default scan interval.
+const DefaultPeriod = 250 * sim.Microsecond
 
-// withDefaults returns c with zero-valued knobs replaced by defaults and
+// ways is the number of ways the DDIO region is divided into, matching
+// the testbed's 6-of-12-way DDIO carve: one simulated way per physical
+// way given to DDIO.
+const ways int = 6
+
+// withDefaults returns c with a zero Period replaced by the default and
 // per-spec floors applied.
 func (c Config) withDefaults() Config {
-	if c.Ways == 0 {
-		c.Ways = DefaultWays
-	}
 	if c.Period == 0 {
 		c.Period = DefaultPeriod
-	}
-	if c.GrowMissRate == 0 {
-		c.GrowMissRate = DefaultGrowMissRate
-	}
-	if c.ShrinkMissRate == 0 {
-		c.ShrinkMissRate = DefaultShrinkMissRate
-	}
-	if c.OccupancyHigh == 0 {
-		c.OccupancyHigh = DefaultOccupancyHigh
-	}
-	if c.GrowBenefit == 0 {
-		c.GrowBenefit = DefaultGrowBenefit
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = DefaultMinSamples
 	}
 	specs := make([]Spec, len(c.Specs))
 	copy(specs, c.Specs)
@@ -171,11 +127,8 @@ func (c Config) Validate(llcBytes int64) error {
 	if len(d.Specs) == 0 {
 		return fmt.Errorf("tenant: tenancy configured with no tenants")
 	}
-	if d.Ways < 1 || d.Ways > 64 {
-		return fmt.Errorf("tenant: %d ways outside [1, 64]", d.Ways)
-	}
-	if llcBytes > 0 && int64(d.Ways) > llcBytes {
-		return fmt.Errorf("tenant: %d ways cannot carve a %d-byte DDIO region", d.Ways, llcBytes)
+	if llcBytes > 0 && int64(ways) > llcBytes {
+		return fmt.Errorf("tenant: %d ways cannot carve a %d-byte DDIO region", ways, llcBytes)
 	}
 	seen := make(map[string]bool, len(d.Specs))
 	quota := 0
@@ -195,13 +148,13 @@ func (c Config) Validate(llcBytes int64) error {
 		}
 		quota += s.Ways
 	}
-	if quota > d.Ways {
+	if quota > ways {
 		wayBytes := int64(0)
 		if llcBytes > 0 {
-			wayBytes = llcBytes / int64(d.Ways)
+			wayBytes = llcBytes / int64(ways)
 		}
 		return fmt.Errorf("tenant: quotas total %d ways (%d bytes), exceeding the %d-way (%d-byte) DDIO region",
-			quota, int64(quota)*wayBytes, d.Ways, llcBytes)
+			quota, int64(quota)*wayBytes, ways, llcBytes)
 	}
 	return nil
 }
@@ -288,7 +241,7 @@ func NewRegistry(cfg Config, llc *cache.LLC) (*Registry, error) {
 		llc:  llc,
 		byID: make(map[string]*Tenant, len(cfg.Specs)),
 	}
-	r.wayBytes = llc.Capacity() / int64(cfg.Ways)
+	r.wayBytes = llc.Capacity() / int64(ways)
 	for i, s := range cfg.Specs {
 		t := &Tenant{ID: s.ID, Index: i, MinWays: s.MinWays}
 		r.tenants = append(r.tenants, t)
@@ -312,11 +265,11 @@ func NewRegistry(cfg Config, llc *cache.LLC) (*Registry, error) {
 		caps = append(caps, int64(t.Ways)*r.wayBytes)
 	}
 	r.sharedPart = len(r.tenants)
-	r.sharedWays = cfg.Ways - used
+	r.sharedWays = ways - used
 	r.sharedMask = ((uint64(1) << r.sharedWays) - 1) << bit
 	// The way-division remainder stays in the shared pool so partition
 	// capacities sum exactly to the LLC capacity.
-	remainder := llc.Capacity() - int64(cfg.Ways)*r.wayBytes
+	remainder := llc.Capacity() - int64(ways)*r.wayBytes
 	caps = append(caps, int64(r.sharedWays)*r.wayBytes+remainder)
 	if err := llc.Partition(caps); err != nil {
 		return nil, err
@@ -486,7 +439,7 @@ func (r *Registry) moveWay(from, to int) bool {
 }
 
 // Audit verifies the tenancy invariants: waymasks are pairwise disjoint
-// and cover exactly Ways ways, each tenant's partition capacity matches
+// and cover exactly the region's ways, each tenant's partition capacity matches
 // its mask, no tenant sits below its floor, and partition occupancies
 // sum to the LLC's global occupancy.
 func (r *Registry) Audit() error {
@@ -517,8 +470,8 @@ func (r *Registry) Audit() error {
 	if union&r.sharedMask != 0 {
 		return fmt.Errorf("shared pool mask %#x overlaps a tenant's", r.sharedMask)
 	}
-	if totalWays+r.sharedWays != r.cfg.Ways {
-		return fmt.Errorf("ways not conserved: tenants %d + shared %d != %d", totalWays, r.sharedWays, r.cfg.Ways)
+	if totalWays+r.sharedWays != ways {
+		return fmt.Errorf("ways not conserved: tenants %d + shared %d != %d", totalWays, r.sharedWays, ways)
 	}
 	var occ int64
 	for i := 0; i < r.llc.Partitions(); i++ {

@@ -9,7 +9,7 @@ import (
 )
 
 func dynConfig(specs ...Spec) Config {
-	return Config{Mode: ModeDynamic, Ways: 6, Specs: specs}
+	return Config{Mode: ModeDynamic, Specs: specs}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -20,13 +20,12 @@ func TestConfigValidate(t *testing.T) {
 		want string // substring of the error, "" = valid
 	}{
 		{"valid", dynConfig(Spec{ID: "kv", Ways: 2}, Spec{ID: "bulk", Ways: 3}), ""},
-		{"no tenants", Config{Mode: ModeStatic, Ways: 6}, "no tenants"},
+		{"no tenants", Config{Mode: ModeStatic}, "no tenants"},
 		{"quota overflow", dynConfig(Spec{ID: "kv", Ways: 4}, Spec{ID: "bulk", Ways: 4}), "exceeding"},
 		{"duplicate", dynConfig(Spec{ID: "kv", Ways: 1}, Spec{ID: "kv", Ways: 1}), "duplicate"},
 		{"empty mask", dynConfig(Spec{ID: "kv", Ways: 0}), "empty waymask"},
 		{"empty id", dynConfig(Spec{ID: "", Ways: 1}), "empty ID"},
 		{"bad floor", dynConfig(Spec{ID: "kv", Ways: 2, MinWays: 3}), "floor"},
-		{"too many ways", Config{Ways: 65, Specs: []Spec{{ID: "kv", Ways: 1}}}, "outside"},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate(llc)
@@ -145,7 +144,7 @@ func TestControllerGrowsCapacityHungryTenant(t *testing.T) {
 	bulk, _ := r.Lookup("bulk")
 
 	fill := func(tn *Tenant) {
-		// Keep the partition >= OccupancyHigh full.
+		// Keep the partition >= occupancyHigh full.
 		id := cache.BufID(1000 * (tn.Index + 1))
 		for llc.PartOccupancy(tn.Part) < llc.PartCapacity(tn.Part) {
 			id++
@@ -154,7 +153,7 @@ func TestControllerGrowsCapacityHungryTenant(t *testing.T) {
 	}
 	// One scan window: kv's 5-way working set means (5 - ways)/5 of its
 	// accesses miss — growth buys a 0.2 rate improvement per way, well
-	// over GrowBenefit, so the saturation latch never fires.
+	// over growBenefit, so the saturation latch never fires.
 	scan := func() {
 		fill(kv)
 		misses := 20 * (5 - kv.Ways)
@@ -164,7 +163,7 @@ func TestControllerGrowsCapacityHungryTenant(t *testing.T) {
 		for i := 0; i < 100-misses; i++ {
 			r.Account(kv.Index, true)
 		}
-		// bulk stays idle (< MinSamples) => donor.
+		// bulk stays idle (< minSamples) => donor.
 		ctrl.ScanOnce()
 	}
 	for i := 0; i < 2; i++ {

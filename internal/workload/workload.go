@@ -56,7 +56,7 @@ func NewDatapath(m Method) iosys.Datapath {
 		o.ForceSlowPath = true
 		return core.New(o)
 	case MethodRDCA:
-		return rdca.New(rdca.DefaultOptions())
+		return rdca.New(rdca.Options{})
 	default:
 		panic(fmt.Sprintf("workload: unknown method %q", m))
 	}
