@@ -82,7 +82,7 @@ type LLC struct {
 	capacity  int64
 	occupancy int64
 
-	entries map[BufID]*node
+	entries BufMap[*node] // resident buffers by ID
 	parts   []partition
 
 	// queueStats, when enabled, attributes consume-side hits/misses to rx
@@ -116,7 +116,6 @@ func NewLLC(capacityBytes int64) *LLC {
 	}
 	return &LLC{
 		capacity: capacityBytes,
-		entries:  make(map[BufID]*node),
 		parts:    []partition{{capacity: capacityBytes}},
 	}
 }
@@ -131,10 +130,10 @@ func (c *LLC) Capacity() int64 { return c.capacity }
 func (c *LLC) Occupancy() int64 { return c.occupancy }
 
 // Resident reports whether id is currently cached.
-func (c *LLC) Resident(id BufID) bool { _, ok := c.entries[id]; return ok }
+func (c *LLC) Resident(id BufID) bool { return c.entries.Has(id) }
 
 // Len returns the number of resident buffers.
-func (c *LLC) Len() int { return len(c.entries) }
+func (c *LLC) Len() int { return c.entries.Len() }
 
 // Partitions returns the number of partitions (1 when unpartitioned).
 func (c *LLC) Partitions() int { return len(c.parts) }
@@ -154,8 +153,8 @@ func (c *LLC) PartStats(i int) PartStats { return c.parts[i].stats }
 // total capacity (so partition occupancies always sum to the machine
 // total).
 func (c *LLC) Partition(capacities []int64) error {
-	if len(c.entries) != 0 {
-		return fmt.Errorf("cache: partitioning a non-empty LLC (%d resident buffers)", len(c.entries))
+	if c.entries.Len() != 0 {
+		return fmt.Errorf("cache: partitioning a non-empty LLC (%d resident buffers)", c.entries.Len())
 	}
 	if len(capacities) == 0 {
 		return fmt.Errorf("cache: partitioning into zero partitions")
@@ -198,7 +197,7 @@ func (c *LLC) MoveCapacity(from, to int, bytes int64) (evicted []Evicted) {
 	for src.occupancy > src.capacity && src.tail != nil {
 		victim := src.tail
 		src.unlink(victim)
-		delete(c.entries, victim.id)
+		c.entries.Delete(victim.id)
 		src.occupancy -= victim.size
 		c.occupancy -= victim.size
 		src.stats.Evictions++
@@ -297,7 +296,7 @@ func (c *LLC) InsertIOSized(part int, id BufID, size, payload int64) (evicted []
 		c.evictScratch = evicted
 		return evicted
 	}
-	if n, ok := c.entries[id]; ok {
+	if n, ok := c.entries.Get(id); ok {
 		// Refresh within the buffer's home partition (a buffer belongs to
 		// one flow, and a flow's partition is fixed for its lifetime).
 		p = &c.parts[n.part]
@@ -309,7 +308,7 @@ func (c *LLC) InsertIOSized(part int, id BufID, size, payload int64) (evicted []
 		p.pushFront(n)
 	} else {
 		n := c.allocNode(id, size, payload, part)
-		c.entries[id] = n
+		c.entries.Put(id, n)
 		p.pushFront(n)
 		p.occupancy += size
 		c.occupancy += size
@@ -324,7 +323,7 @@ func (c *LLC) InsertIOSized(part int, id BufID, size, payload int64) (evicted []
 			break
 		}
 		p.unlink(victim)
-		delete(c.entries, victim.id)
+		c.entries.Delete(victim.id)
 		p.occupancy -= victim.size
 		c.occupancy -= victim.size
 		p.stats.Evictions++
@@ -372,7 +371,7 @@ func (c *LLC) ImminentIn(part int, thresholdBytes int64, pred func(BufID) bool) 
 // PayloadOf returns the payload bytes recorded for a resident buffer,
 // 0 when id is not resident.
 func (c *LLC) PayloadOf(id BufID) int64 {
-	if n, ok := c.entries[id]; ok {
+	if n, ok := c.entries.Get(id); ok {
 		return n.payload
 	}
 	return 0
@@ -400,7 +399,7 @@ func (c *LLC) TouchState(part int, id BufID, size int64) (hit bool, evicted []Ev
 	if size <= 0 {
 		panic(fmt.Sprintf("cache: state touch of non-positive size %d", size))
 	}
-	if n, ok := c.entries[id]; ok {
+	if n, ok := c.entries.Get(id); ok {
 		p := &c.parts[n.part]
 		p.unlink(n)
 		p.pushFront(n)
@@ -411,7 +410,7 @@ func (c *LLC) TouchState(part int, id BufID, size int64) (hit bool, evicted []Ev
 		return false, nil
 	}
 	n := c.allocNode(id, size, size, part)
-	c.entries[id] = n
+	c.entries.Put(id, n)
 	p.pushFront(n)
 	p.occupancy += size
 	c.occupancy += size
@@ -422,7 +421,7 @@ func (c *LLC) TouchState(part int, id BufID, size int64) (hit bool, evicted []Ev
 			break
 		}
 		p.unlink(victim)
-		delete(c.entries, victim.id)
+		c.entries.Delete(victim.id)
 		p.occupancy -= victim.size
 		c.occupancy -= victim.size
 		p.stats.Evictions++
@@ -448,7 +447,7 @@ func (c *LLC) Consume(id BufID) bool { return c.ConsumeIn(0, id) }
 // charge a DRAM access. A hit is charged to the buffer's home partition;
 // a miss to part, the reader's own partition.
 func (c *LLC) ConsumeIn(part int, id BufID) bool {
-	n, ok := c.entries[id]
+	n, ok := c.entries.Delete(id)
 	if !ok {
 		c.parts[part].stats.Misses++
 		c.Misses++
@@ -456,7 +455,6 @@ func (c *LLC) ConsumeIn(part int, id BufID) bool {
 	}
 	p := &c.parts[n.part]
 	p.unlink(n)
-	delete(c.entries, id)
 	p.occupancy -= n.size
 	c.occupancy -= n.size
 	p.stats.Hits++
@@ -472,7 +470,7 @@ func (c *LLC) Peek(id BufID) bool { return c.PeekIn(0, id) }
 // updates counters but leaves a resident buffer in place (used by
 // workloads that touch a buffer multiple times).
 func (c *LLC) PeekIn(part int, id BufID) bool {
-	if n, ok := c.entries[id]; ok {
+	if n, ok := c.entries.Get(id); ok {
 		// Refresh recency on touch.
 		p := &c.parts[n.part]
 		p.unlink(n)
@@ -495,7 +493,7 @@ func (c *LLC) Probe(id BufID) bool { return c.ProbeIn(0, id) }
 // (dirty) until capacity pressure evicts it, which is how bypass traffic
 // "continuously flushes the LLC" in the paper's coexistence analysis.
 func (c *LLC) ProbeIn(part int, id BufID) bool {
-	if n, ok := c.entries[id]; ok {
+	if n, ok := c.entries.Get(id); ok {
 		c.parts[n.part].stats.Hits++
 		c.Hits++
 		return true
@@ -508,10 +506,9 @@ func (c *LLC) ProbeIn(part int, id BufID) bool {
 // Drop removes a buffer without classifying it as hit or miss (used when a
 // packet is dropped before any consumer touches it).
 func (c *LLC) Drop(id BufID) {
-	if n, ok := c.entries[id]; ok {
+	if n, ok := c.entries.Delete(id); ok {
 		p := &c.parts[n.part]
 		p.unlink(n)
-		delete(c.entries, id)
 		p.occupancy -= n.size
 		c.occupancy -= n.size
 		c.freeNode(n)
@@ -615,8 +612,8 @@ func (c *LLC) checkInvariants() error {
 	if capSum != c.capacity {
 		return fmt.Errorf("capacity %d != partition sum %d", c.capacity, capSum)
 	}
-	if count != len(c.entries) {
-		return fmt.Errorf("lists %d != map %d", count, len(c.entries))
+	if count != c.entries.Len() {
+		return fmt.Errorf("lists %d != index %d", count, c.entries.Len())
 	}
 	if st != (PartStats{Insertions: c.Insertions, Evictions: c.Evictions, Hits: c.Hits, Misses: c.Misses}) {
 		return fmt.Errorf("global counters %+v diverge from partition sums %+v",

@@ -20,6 +20,7 @@ package invariants
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ceio/internal/core"
@@ -53,7 +54,9 @@ type Auditor struct {
 	total      uint64
 
 	lastRingViolations uint64
-	lastSeq            map[*iosys.Flow]uint64
+	// nextSeq holds, by flow Index, one more than the flow's last
+	// delivered sequence number: 0 until its first delivery.
+	nextSeq []uint64
 
 	// Checks counts completed periodic sweeps (diagnostics: a zero means
 	// the period outlived the simulation and nothing was actually audited).
@@ -68,7 +71,7 @@ func Attach(m *iosys.Machine, period sim.Time) *Auditor {
 	if period <= 0 {
 		period = 100 * sim.Microsecond
 	}
-	a := &Auditor{m: m, lastSeq: make(map[*iosys.Flow]uint64)}
+	a := &Auditor{m: m}
 	if dp, ok := m.DP.(*core.CEIO); ok {
 		a.dp = dp
 	}
@@ -93,18 +96,22 @@ func (a *Auditor) record(rule, detail string) {
 // observeDelivery asserts strictly increasing per-flow sequence numbers
 // for CPU-involved flows — the ordering the SW ring guarantees. CPU-bypass
 // flows are exempt: they have no ordering ring, and their concurrent
-// drain reads complete in any order by design. The map key is the flow
-// object, not its ID, so a torn-down-and-reused flow ID starts a fresh
-// sequence expectation.
+// drain reads complete in any order by design. The slot is the flow's
+// dense index, not its ID, and indices are never reused, so a
+// torn-down-and-reused flow ID starts a fresh sequence expectation.
 func (a *Auditor) observeDelivery(f *iosys.Flow, seq uint64) {
 	if f.Kind != iosys.CPUInvolved {
 		return
 	}
-	if last, ok := a.lastSeq[f]; ok && seq <= last {
-		a.record("delivery-order",
-			fmt.Sprintf("flow %d delivered seq %d after %d", f.ID, seq, last))
+	i := f.Index()
+	if i >= len(a.nextSeq) {
+		a.nextSeq = slices.Grow(a.nextSeq, i+1-len(a.nextSeq))[:i+1]
 	}
-	a.lastSeq[f] = seq
+	if next := a.nextSeq[i]; next != 0 && seq < next {
+		a.record("delivery-order",
+			fmt.Sprintf("flow %d delivered seq %d after %d", f.ID, seq, next-1))
+	}
+	a.nextSeq[i] = seq + 1
 }
 
 // sweep runs every periodic check once.

@@ -86,6 +86,40 @@ func TestAuditorCatchesOrderViolation(t *testing.T) {
 	}
 }
 
+// A flow ID torn down and added again starts a fresh sequence
+// expectation: its seq 0 is no violation. A real reorder on the re-added
+// flow still fires, exactly once.
+func TestAuditorFlowReAddStartsFresh(t *testing.T) {
+	dp := core.New(core.DefaultOptions())
+	m := iosys.NewMachine(iosys.DefaultConfig(), dp)
+	a := invariants.Attach(m, 50*sim.Microsecond)
+	old := m.AddFlow(kvSpec(1, 512))
+	other := m.AddFlow(kvSpec(2, 512))
+	for seq := uint64(0); seq < 3; seq++ {
+		m.OnDeliver(old, &pkt.Packet{FlowID: 1, Seq: seq})
+		m.OnDeliver(other, &pkt.Packet{FlowID: 2, Seq: seq})
+	}
+	m.RemoveFlow(1)
+	f := m.AddFlow(kvSpec(1, 512))
+	if f.Index() == old.Index() || f.Index() == other.Index() {
+		t.Fatalf("re-added flow reuses index %d (old %d, other %d)", f.Index(), old.Index(), other.Index())
+	}
+	m.OnDeliver(f, &pkt.Packet{FlowID: 1, Seq: 0})
+	m.OnDeliver(f, &pkt.Packet{FlowID: 1, Seq: 1})
+	if err := a.Err(); err != nil {
+		t.Fatalf("re-added flow's fresh sequence flagged: %v", err)
+	}
+	m.OnDeliver(f, &pkt.Packet{FlowID: 1, Seq: 5})
+	m.OnDeliver(f, &pkt.Packet{FlowID: 1, Seq: 4}) // reorder
+	m.OnDeliver(other, &pkt.Packet{FlowID: 2, Seq: 3})
+	if a.Count() != 1 {
+		t.Fatalf("want exactly 1 violation, got %d: %v", a.Count(), a.Err())
+	}
+	if v := a.Violations()[0]; v.Rule != "delivery-order" || !strings.Contains(v.Detail, "seq 4 after 5") {
+		t.Fatalf("want delivery-order seq 4 after 5, got %v", v)
+	}
+}
+
 // Violation retention is capped but counting is not.
 func TestAuditorRetentionCap(t *testing.T) {
 	dp := core.New(core.DefaultOptions())

@@ -92,6 +92,7 @@ type Flow struct {
 	CC *transport.FlowCC
 
 	m       *Machine
+	index   int
 	nextSeq uint64
 	msgPos  int
 	active  bool
@@ -131,6 +132,11 @@ func (f *Flow) String() string {
 
 // Active reports whether the flow's generator is currently emitting.
 func (f *Flow) Active() bool { return f.active && !f.stopped }
+
+// Index returns the flow's dense per-machine index: the number of flows
+// added to the machine before it. Indices are never reused, so a flow ID
+// torn down and added again gets a fresh index.
+func (f *Flow) Index() int { return f.index }
 
 // TenantIndex returns the owning tenant's registry index, -1 if the flow
 // is untagged (or the machine untenanted).

@@ -89,6 +89,9 @@ type Machine struct {
 	queues []*Core
 
 	nextBuf cache.BufID
+	// flowsAdded counts AddFlow calls; it numbers each flow's dense
+	// index and is never decremented, so indices are never reused.
+	flowsAdded int
 
 	// PktPool recycles packet descriptors: emit draws from it and
 	// Deliver/Drop return to it, so the steady-state rx path allocates
@@ -367,7 +370,7 @@ func (m *Machine) AddFlowE(spec FlowSpec) (*Flow, error) {
 	} else if spec.Queue != 0 {
 		return nil, fmt.Errorf("iosys: adding flow %d: queue %d requested but machine has no multi-queue rx path (Cores == 0)", spec.ID, spec.Queue)
 	}
-	f := &Flow{FlowSpec: spec, m: m, active: true, tenantIdx: tenantIdx, part: part, queue: queue}
+	f := &Flow{FlowSpec: spec, m: m, index: m.flowsAdded, active: true, tenantIdx: tenantIdx, part: part, queue: queue}
 	if len(spec.Pipeline) > 0 {
 		// The chain was validated above, so resolution cannot fail; any
 		// first-seen modules register their telemetry series here (the
@@ -394,6 +397,7 @@ func (m *Machine) AddFlowE(spec FlowSpec) (*Flow, error) {
 	f.CC = transport.New(m.Eng, ccCfg, rate)
 	f.Delivered.StartAt(m.Eng.Now())
 	m.Flows[spec.ID] = f
+	m.flowsAdded++
 	if m.Tenants != nil {
 		m.Tenants.FlowAdded(f.tenantIdx)
 	}

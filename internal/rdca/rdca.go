@@ -105,7 +105,7 @@ type RDCA struct {
 	// inflight tags the admitted-but-unconsumed rx buffers with their
 	// partition: the imminence predicate and the eviction hook consult
 	// it so dataplane state lines sharing a partition are never counted.
-	inflight map[cache.BufID]int
+	inflight cache.BufMap[int]
 	pred     func(cache.BufID) bool // persistent ImminentIn predicate
 
 	jobs sim.Carriers[job]
@@ -151,8 +151,7 @@ func (d *RDCA) Attach(m *iosys.Machine) {
 			pw.window = pw.cap
 		}
 	}
-	d.inflight = make(map[cache.BufID]int, 1024)
-	d.pred = func(id cache.BufID) bool { _, ok := d.inflight[id]; return ok }
+	d.pred = d.inflight.Has
 	m.OnIOEvict = d.onIOEvict
 	m.Eng.Every(adjustPeriod, adjustPeriod, d.adjust)
 }
@@ -288,7 +287,7 @@ func decide(arg any) {
 func (d *RDCA) admit(j *job) {
 	pw := &d.wins[j.f.Partition()]
 	pw.inFlight++
-	d.inflight[j.p.Buf] = j.f.Partition()
+	d.inflight.Put(j.p.Buf, j.f.Partition())
 	d.m.DMAToHost(j.p, landed, j)
 }
 
@@ -328,8 +327,7 @@ func (d *RDCA) Poll(f *iosys.Flow, max int) []*pkt.Packet {
 func (d *RDCA) OnDelivered(f *iosys.Flow, p *pkt.Packet) {
 	pw := &d.wins[f.Partition()]
 	pw.inFlight--
-	if _, ok := d.inflight[p.Buf]; ok {
-		delete(d.inflight, p.Buf)
+	if _, ok := d.inflight.Delete(p.Buf); ok {
 		if f.Kind == iosys.CPUBypass && d.m.LLC.Resident(p.Buf) {
 			d.m.LLC.Drop(p.Buf)
 			d.Demoted++
@@ -342,11 +340,10 @@ func (d *RDCA) OnDelivered(f *iosys.Flow, p *pkt.Packet) {
 // buffer pushed out of the LLC before consumption means the window
 // outran residency — the strongest shrink signal the controller has.
 func (d *RDCA) onIOEvict(id cache.BufID) {
-	part, ok := d.inflight[id]
+	part, ok := d.inflight.Delete(id)
 	if !ok {
 		return
 	}
-	delete(d.inflight, id)
 	d.EvictedInflight++
 	d.wins[part].evictedTick++
 }
@@ -445,8 +442,8 @@ func (d *RDCA) AuditWindows() error {
 		}
 		total += pw.inFlight
 	}
-	if len(d.inflight) > total {
-		return fmt.Errorf("rdca: %d tagged in-flight buffers exceed %d admitted", len(d.inflight), total)
+	if d.inflight.Len() > total {
+		return fmt.Errorf("rdca: %d tagged in-flight buffers exceed %d admitted", d.inflight.Len(), total)
 	}
 	return nil
 }

@@ -190,6 +190,54 @@ func TestSWRingFull(t *testing.T) {
 	}
 }
 
+// The backing array starts small and doubles as the live window grows,
+// wrapped or not; indices PushSlow returned before a doubling still mark
+// the right entries, and the ring still fills at exactly Cap.
+func TestSWRingGrowsBacking(t *testing.T) {
+	const capacity = 1024
+	r := NewSWRing(capacity)
+	if got := len(r.entries); got != initialBacking {
+		t.Fatalf("initial backing %d entries, want %d", got, initialBacking)
+	}
+	var seq uint64
+	for ; seq < 40; seq++ { // move head off slot 0 so the window wraps
+		r.PushFast(mkPkt(seq))
+		if r.PopReady() == nil {
+			t.Fatal("pop of a fast entry failed")
+		}
+	}
+	var slow []uint64
+	for i := 0; i < capacity; i++ {
+		var ok bool
+		if i%3 == 0 {
+			var idx uint64
+			idx, ok = r.PushSlow(mkPkt(seq))
+			slow = append(slow, idx)
+		} else {
+			ok = r.PushFast(mkPkt(seq))
+		}
+		if !ok {
+			t.Fatalf("push %d of %d failed", i, capacity)
+		}
+		seq++
+	}
+	if r.Len() != capacity || len(r.entries) != capacity {
+		t.Fatalf("Len=%d backing=%d, want both %d", r.Len(), len(r.entries), capacity)
+	}
+	if r.PushFast(mkPkt(seq)) {
+		t.Fatal("push past Cap succeeded")
+	}
+	for _, idx := range slow {
+		r.MarkReady(idx)
+	}
+	for want := uint64(40); want < seq; want++ {
+		p := r.PopReady()
+		if p == nil || p.Seq != want {
+			t.Fatalf("popped %v, want seq %d", p, want)
+		}
+	}
+}
+
 func TestSWRingMarkReadyPanics(t *testing.T) {
 	r := NewSWRing(4)
 	r.PushFast(mkPkt(0))

@@ -25,9 +25,13 @@ type Entry struct {
 // producers never interleave within a flow, so FIFO insertion order is
 // delivery order — no per-packet reordering metadata is needed.
 type SWRing struct {
-	entries []Entry
-	head    uint64
-	tail    uint64
+	// entries is the backing array: a power of two no larger than
+	// capacity, doubled when the live window fills it, so an idle or
+	// shallow flow does not pin capacity × 16 B.
+	entries  []Entry
+	capacity int
+	head     uint64
+	tail     uint64
 
 	// FaultTolerant converts MarkReady protocol violations from process
 	// aborts into counted, reported events. The fault-injection substrate
@@ -47,21 +51,39 @@ type SWRing struct {
 	Violations uint64
 }
 
+// initialBacking is the backing array's starting length in entries.
+const initialBacking = 64
+
 // NewSWRing creates a software ring with the given entry count.
 func NewSWRing(capacity int) *SWRing {
 	if capacity <= 0 || capacity&(capacity-1) != 0 {
 		panic("ring: capacity must be a positive power of two")
 	}
-	return &SWRing{entries: make([]Entry, capacity)}
+	return &SWRing{entries: make([]Entry, min(capacity, initialBacking)), capacity: capacity}
 }
 
 // Cap returns the ring capacity in entries.
-func (r *SWRing) Cap() int { return len(r.entries) }
+func (r *SWRing) Cap() int { return r.capacity }
 
 // Len returns occupied entries (ready or not).
 func (r *SWRing) Len() int { return int(r.tail - r.head) }
 
-func (r *SWRing) slot(i uint64) *Entry { return &r.entries[i&uint64(r.Cap()-1)] }
+func (r *SWRing) slot(i uint64) *Entry { return &r.entries[i&uint64(len(r.entries)-1)] }
+
+// reserve makes room for one more entry below Cap, doubling the backing
+// array when the live window fills it. Entries keep their absolute
+// indices, so indices from PushSlow stay valid; *Entry pointers from At
+// and PeekHead do not survive a push.
+func (r *SWRing) reserve() {
+	if r.Len() < len(r.entries) {
+		return
+	}
+	old := r.entries
+	r.entries = make([]Entry, 2*len(old))
+	for i := r.head; i < r.tail; i++ {
+		*r.slot(i) = old[i&uint64(len(old)-1)]
+	}
+}
 
 // PushFast inserts a fast-path packet (immediately ready). It fails when
 // the ring is full.
@@ -69,6 +91,7 @@ func (r *SWRing) PushFast(p *pkt.Packet) bool {
 	if r.Len() == r.Cap() {
 		return false
 	}
+	r.reserve()
 	*r.slot(r.tail) = Entry{Pkt: p, Slow: false, Ready: true}
 	r.tail++
 	r.FastPushed++
@@ -85,6 +108,7 @@ func (r *SWRing) PushSlow(p *pkt.Packet) (idx uint64, ok bool) {
 	if r.Len() == r.Cap() {
 		return 0, false
 	}
+	r.reserve()
 	idx = r.tail
 	*r.slot(idx) = Entry{Pkt: p, Slow: true, Ready: false}
 	r.tail++

@@ -112,6 +112,10 @@ func Load(r io.Reader) (*Spec, error) {
 	return &s, nil
 }
 
+// maxPktSize is the largest pkt_size a flow may ask for: the IPv4
+// total-length limit. No experiment exceeds 16384.
+const maxPktSize = 65535
+
 // Validate checks the specification for structural errors.
 func (s *Spec) Validate() error {
 	switch s.Arch {
@@ -140,8 +144,8 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario: duplicate flow id %d", f.ID)
 		}
 		seen[f.ID] = true
-		if f.PktSize < 0 {
-			return fmt.Errorf("scenario: flow %d pkt_size must be non-negative, got %d", f.ID, f.PktSize)
+		if f.PktSize < 0 || f.PktSize > maxPktSize {
+			return fmt.Errorf("scenario: flow %d pkt_size must be in [0, %d], got %d", f.ID, maxPktSize, f.PktSize)
 		}
 		if f.ChunkPkts < 0 {
 			return fmt.Errorf("scenario: flow %d chunk_pkts must be non-negative, got %d", f.ID, f.ChunkPkts)

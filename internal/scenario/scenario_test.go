@@ -67,6 +67,7 @@ func TestValidateErrors(t *testing.T) {
 		`{"arch":"CEIO","duration_ms":1,"warmup_ms":-4,"flows":[{"id":1,"kind":"rpc"}]}`,
 		`{"arch":"CEIO","duration_ms":1e300,"flows":[{"id":1,"kind":"rpc"}]}`,
 		`{"arch":"CEIO","duration_ms":1,"flows":[{"id":1,"kind":"rpc","pkt_size":-64}]}`,
+		`{"arch":"CEIO","duration_ms":1,"flows":[{"id":1,"kind":"rpc","pkt_size":100000}]}`,
 		`{"arch":"CEIO","duration_ms":1,"flows":[{"id":1,"kind":"rpc","rate_gbps":-50}]}`,
 		`{"arch":"CEIO","duration_ms":1,"flows":[{"id":1,"kind":"dfs","chunk_pkts":-7}]}`,
 		`{"arch":"CEIO","duration_ms":5e12,"warmup_ms":5e12,"flows":[{"id":1,"kind":"rpc"}]}`,

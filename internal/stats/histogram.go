@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Histogram is a log-linear latency histogram in the style of HdrHistogram:
@@ -15,8 +16,12 @@ import (
 // what tail-latency reporting (P99, P99.9) needs without storing samples.
 // Values are int64 (nanoseconds in this codebase). The zero value is ready
 // to use.
+//
+// counts is indexed by bucketIndex and grows lazily to the highest bucket
+// recorded (at most 1888 entries, for math.MaxInt64), so Record is an
+// index and an increment, with no hashing on the per-packet path.
 type Histogram struct {
-	counts map[int]uint64
+	counts []uint64
 	total  uint64
 	sum    float64
 	min    int64
@@ -52,12 +57,22 @@ func bucketValue(i int) int64 {
 	return low + width/2
 }
 
+// grow extends counts to at least n buckets. Entries past len(counts)
+// were never written, so reslicing into spare capacity reads zeros, and
+// only a capacity increase allocates.
+func (h *Histogram) grow(n int) {
+	if n > len(h.counts) {
+		h.counts = slices.Grow(h.counts, n-len(h.counts))[:n]
+	}
+}
+
 // Record adds one observation.
 func (h *Histogram) Record(v int64) {
-	if h.counts == nil {
-		h.counts = make(map[int]uint64)
+	i := bucketIndex(v)
+	if i >= len(h.counts) {
+		h.grow(i + 1)
 	}
-	h.counts[bucketIndex(v)]++
+	h.counts[i]++
 	h.total++
 	h.sum += float64(v)
 	if !h.hasMin || v < h.min {
@@ -99,12 +114,12 @@ func (h *Histogram) Percentile(q float64) int64 {
 	if target == 0 {
 		target = 1
 	}
-	// Walk buckets in index order.
-	maxIdx := bucketIndex(h.max)
+	// Walk buckets in index order; none past max's bucket holds a count.
+	maxIdx := min(bucketIndex(h.max), len(h.counts)-1)
 	var cum uint64
 	for i := 0; i <= maxIdx; i++ {
-		c, ok := h.counts[i]
-		if !ok {
+		c := h.counts[i]
+		if c == 0 {
 			continue
 		}
 		cum += c
@@ -132,9 +147,7 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.total == 0 {
 		return
 	}
-	if h.counts == nil {
-		h.counts = make(map[int]uint64)
-	}
+	h.grow(len(other.counts))
 	for i, c := range other.counts {
 		h.counts[i] += c
 	}
@@ -148,9 +161,9 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Reset clears all observations.
+// Reset clears all observations, keeping the bucket storage for reuse.
 func (h *Histogram) Reset() {
-	h.counts = nil
+	clear(h.counts)
 	h.total = 0
 	h.sum = 0
 	h.min, h.max, h.hasMin = 0, 0, false

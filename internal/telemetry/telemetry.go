@@ -35,7 +35,6 @@ package telemetry
 
 import (
 	"fmt"
-	"regexp"
 	"sort"
 	"strings"
 
@@ -103,10 +102,21 @@ func (m *Metric) Value() float64 {
 // Hist returns the backing histogram, or nil for scalar metrics.
 func (m *Metric) Hist() *stats.Histogram { return m.hist }
 
-var (
-	segmentRe = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
-	labelRe   = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
-)
+// isIdent reports whether s matches [a-z][a-z0-9_]*, the grammar of both
+// name segments and label keys. Every machine registers dozens of series,
+// so this runs hundreds of times per setup; a byte loop keeps it cheap.
+func isIdent(s string) bool {
+	if s == "" || s[0] < 'a' || s[0] > 'z' {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		c := s[i]
+		if (c < 'a' || c > 'z') && (c < '0' || c > '9') && c != '_' {
+			return false
+		}
+	}
+	return true
+}
 
 // gaugeSuffixes are the unit suffixes the grammar admits for gauges
 // (_meps is million simulation events per simulated second).
@@ -119,13 +129,12 @@ func ValidateName(name string, kind Kind) error {
 	if len(name) > 80 {
 		return fmt.Errorf("telemetry: name %q exceeds 80 characters", name)
 	}
-	segs := strings.Split(name, ".")
-	if len(segs) < 2 || len(segs) > 6 {
-		return fmt.Errorf("telemetry: name %q has %d segments, want 2..6", name, len(segs))
+	if n := strings.Count(name, ".") + 1; n < 2 || n > 6 {
+		return fmt.Errorf("telemetry: name %q has %d segments, want 2..6", name, n)
 	}
-	for _, s := range segs {
-		if !segmentRe.MatchString(s) {
-			return fmt.Errorf("telemetry: name %q: segment %q violates [a-z][a-z0-9_]*", name, s)
+	for seg := range strings.SplitSeq(name, ".") {
+		if !isIdent(seg) {
+			return fmt.Errorf("telemetry: name %q: segment %q violates [a-z][a-z0-9_]*", name, seg)
 		}
 	}
 	switch kind {
@@ -159,7 +168,7 @@ func ValidateName(name string, kind Kind) error {
 // validateLabels checks label keys and values against the grammar.
 func validateLabels(name string, labels []Label) error {
 	for _, l := range labels {
-		if !labelRe.MatchString(l.Key) {
+		if !isIdent(l.Key) {
 			return fmt.Errorf("telemetry: metric %q: label key %q violates [a-z][a-z0-9_]*", name, l.Key)
 		}
 		if l.Value == "" {

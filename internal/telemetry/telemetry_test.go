@@ -30,6 +30,11 @@ func TestNamingGrammar(t *testing.T) {
 		{"cache..hits_total", KindCounter, false},           // empty segment
 		{"cache.9llc.hits_total", KindCounter, false},       // segment starts with digit
 		{"cache.llc-x.hits_total", KindCounter, false},
+		{"cache.llc_2.hits_total", KindCounter, true}, // digits and _ after the first byte
+		{".cache.hits_total", KindCounter, false},     // leading empty segment
+		{"cache._llc.hits_total", KindCounter, false}, // segment starts with _
+		{"cache.llcé.hits_total", KindCounter, false}, // non-ASCII
+		{"cache.llc.hits_ns\n", KindHistogram, false}, // trailing newline
 	}
 	for _, c := range cases {
 		err := ValidateName(c.name, c.kind)
