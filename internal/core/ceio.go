@@ -364,7 +364,11 @@ const controlOverhead sim.Time = 150 * sim.Nanosecond
 func (c *CEIO) Ingress(f *iosys.Flow, p *pkt.Packet) {
 	st := c.flows[f.ID]
 	if st == nil {
-		return // flow torn down while the packet was on the wire
+		// Flow torn down while the packet was on the wire: recycle the
+		// descriptor. The flow's counters are gone with it, so nothing
+		// is counted as a drop.
+		c.m.PktPool.Put(p)
+		return
 	}
 	c.m.Eng.After(controlOverhead, ctrlDecide, c.getJob(st, p))
 }

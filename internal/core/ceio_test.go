@@ -208,3 +208,24 @@ func TestCEIODeterminism(t *testing.T) {
 		t.Fatalf("non-deterministic: (%d,%d) vs (%d,%d)", a1, b1, a2, b2)
 	}
 }
+
+// A packet that reaches the controller after its flow was torn down
+// (it was on the wire during RemoveFlow) goes back to the descriptor
+// pool, and is not counted as a drop.
+func TestCEIOIngressAfterRemoveRecyclesPacket(t *testing.T) {
+	dp := core.New(core.DefaultOptions())
+	m := iosys.NewMachine(iosys.DefaultConfig(), dp)
+	m.AddFlow(kvSpec(1, 512))
+	f := m.Flows[1]
+	p := m.PktPool.Get()
+	p.FlowID, p.Size = 1, 512
+	m.RemoveFlow(1)
+	dp.Ingress(f, p)
+	if m.PktPool.Gets != m.PktPool.Puts {
+		t.Fatalf("packet pool gets=%d puts=%d: the torn-down flow's packet leaked",
+			m.PktPool.Gets, m.PktPool.Puts)
+	}
+	if m.TotalDrops != 0 || f.Drops != 0 {
+		t.Fatalf("drops machine=%d flow=%d, want 0", m.TotalDrops, f.Drops)
+	}
+}

@@ -25,8 +25,10 @@
 package fleet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ceio/internal/core"
@@ -72,9 +74,9 @@ type Config struct {
 	Fabric fabric.Config
 
 	// Pool, when non-nil, steps host shards in parallel within each
-	// epoch. A nil pool steps them serially inline; the two are
-	// byte-identical. Call RunFor only from a goroutine that is not
-	// itself a worker of the same pool.
+	// epoch on helpers leased from it for each RunFor. A nil pool, or
+	// GOMAXPROCS 1, steps them serially inline; the two are
+	// byte-identical.
 	Pool *runner.Pool
 
 	// Plans are per-host fault plans (Plans[i] arms host i). A shorter
@@ -166,6 +168,49 @@ type outMsg struct {
 	m        netMsg
 }
 
+// frame carries one control frame across the fabric, from the barrier
+// that injects it to the event that delivers it. Frames are recycled
+// through the destination shard's free list: the barrier takes one, and
+// the delivery event, running on that shard, puts it back, so the two
+// never touch a list at the same time. A frame the switch drops is left
+// to the garbage collector.
+type frame struct {
+	f   *Fleet
+	h   *Host // destination host; nil for the balancer's port
+	src int
+	m   netMsg
+}
+
+// newFrame takes a frame for om from its destination's free list.
+func (f *Fleet) newFrame(om *outMsg) *frame {
+	var fr *frame
+	if om.dst == f.ctlPort {
+		fr = f.ctlFrames.Get()
+	} else {
+		fr = f.hosts[om.dst].frames.Get()
+		fr.h = f.hosts[om.dst]
+	}
+	fr.f, fr.src, fr.m = f, om.src, om.m
+	return fr
+}
+
+// hostDeliver fires a frame's arrival on its destination host's shard.
+func hostDeliver(arg any) {
+	fr := arg.(*frame)
+	f, h, m := fr.f, fr.h, fr.m
+	h.frames.Put(fr)
+	f.hostRecv(h, m)
+}
+
+// ctlDeliver fires a frame's arrival at the balancer, on the control
+// shard.
+func ctlDeliver(arg any) {
+	fr := arg.(*frame)
+	f, src, m := fr.f, fr.src, fr.m
+	f.ctlFrames.Put(fr)
+	f.ctlRecv(src, m)
+}
+
 // Host is one rack member: a full simulated machine on its own shard
 // engine, plus the balancer's health bookkeeping about it. Fields split
 // by writer — shard-owned fields are touched only by events on h.eng,
@@ -176,8 +221,9 @@ type Host struct {
 	M     *iosys.Machine
 	Inj   *faults.Injector // nil when the host runs fault-free
 
-	eng *sim.Engine
-	out []outMsg // shard outbox, drained at each barrier
+	eng    *sim.Engine
+	out    []outMsg            // shard outbox, drained at each barrier
+	frames sim.Carriers[frame] // frames addressed to this host
 
 	// Shard-owned ground truth.
 	down      bool
@@ -298,16 +344,20 @@ type Fleet struct {
 	// SW is the rack's ToR switch.
 	SW *fabric.Switch
 
-	hosts   []*Host
-	ctlOut  []outMsg
-	ctlPort int
+	hosts     []*Host
+	ctlOut    []outMsg
+	ctlPort   int
+	ctlFrames sim.Carriers[frame] // frames addressed to the balancer
+	merge     []outMsg            // the barrier's merged outboxes, reused
 
 	placement map[int]*placement
-	order     []int // flow IDs in AddFlow order
+	ids       []int // every placed flow ID, ascending
+	placedBuf []int // PlacedFlowIDs' result, reused
 	expected  []int // per-host C_total captured at construction
 
 	now      sim.Time // last barrier
 	epochLen sim.Time // conservative lookahead = Fabric.PropDelay
+	gang     *gang    // steps the shards to each barrier
 
 	audit       *invariants.FleetAuditor
 	auditPeriod sim.Time
@@ -370,6 +420,11 @@ func New(cfg Config) (*Fleet, error) {
 			h.scheduleCrash(ep)
 		}
 	}
+	shards := make([]*sim.Engine, 0, cfg.Hosts+1)
+	for _, h := range f.hosts {
+		shards = append(shards, h.eng)
+	}
+	f.gang = newGang(append(shards, f.Eng))
 	f.registerMetrics()
 	f.SW.RegisterMetrics(f.Reg)
 	f.Eng.Every(cfg.ProbePeriod, cfg.ProbePeriod, f.probeTick)
@@ -384,15 +439,21 @@ func (f *Fleet) ctlSend(dst, bytes int, m netMsg) {
 // --- lockstep epochs ------------------------------------------------------
 
 // RunFor advances the whole rack by d, in lockstep epochs of one fabric
-// propagation delay each.
+// propagation delay each. With a pool it leases helpers once for the
+// whole call (gang.go) and releases them before it returns.
 func (f *Fleet) RunFor(d sim.Time) {
 	end := f.now + d
+	if f.gang.lease(f.Cfg.Pool) {
+		defer f.gang.release()
+	}
 	for f.now < end {
-		t := f.now + f.epochLen
-		if t > end {
-			t = end
-		}
-		f.runEpoch(t)
+		t := min(f.now+f.epochLen, end)
+		// Shards are independent within an epoch because no frame can be
+		// delivered sooner than one propagation delay after injection,
+		// which is exactly the epoch length.
+		f.gang.step(t)
+		f.now = t
+		f.barrier(t)
 	}
 }
 
@@ -401,29 +462,11 @@ func (f *Fleet) Now() sim.Time { return f.now }
 
 // EventsProcessed sums executed events across every shard engine.
 func (f *Fleet) EventsProcessed() uint64 {
-	n := f.Eng.Processed
-	for _, h := range f.hosts {
-		n += h.M.Eng.Processed
+	var n uint64
+	for _, e := range f.gang.shards {
+		n += e.Processed
 	}
 	return n
-}
-
-// runEpoch steps every shard to the barrier t — in parallel when a pool
-// is configured — then sequences the epoch's cross-shard frames through
-// the switch. Shards are independent within an epoch because no frame
-// can be delivered sooner than one propagation delay after injection,
-// which is exactly the epoch length.
-func (f *Fleet) runEpoch(t sim.Time) {
-	n := len(f.hosts) + 1
-	f.Cfg.Pool.Do(n, func(i int) {
-		if i < len(f.hosts) {
-			f.hosts[i].eng.RunUntil(t)
-		} else {
-			f.Eng.RunUntil(t)
-		}
-	})
-	f.now = t
-	f.barrier(t)
 }
 
 // barrier is the serial tail of an epoch: fold ground-truth stats into
@@ -446,35 +489,31 @@ func (f *Fleet) barrier(t sim.Time) {
 
 	f.applyFabricFaults(t)
 
-	var all []outMsg
+	f.merge = f.merge[:0]
 	for _, h := range f.hosts {
-		all = append(all, h.out...)
+		f.merge = append(f.merge, h.out...)
 		h.out = h.out[:0]
 	}
-	all = append(all, f.ctlOut...)
+	f.merge = append(f.merge, f.ctlOut...)
 	f.ctlOut = f.ctlOut[:0]
 	// Stable sort on (time, source): per-shard outboxes are already in
 	// time order, so stability preserves each source's FIFO.
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].at != all[j].at {
-			return all[i].at < all[j].at
-		}
-		return all[i].src < all[j].src
+	slices.SortStableFunc(f.merge, func(a, b outMsg) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src))
 	})
-	for _, om := range all {
+	for i := range f.merge {
+		om := &f.merge[i]
 		// A false return is a tail drop or a dark port: the frame is
 		// gone, and the handshake timeouts (or the next probe) recover.
-		f.SW.Inject(om.at, fabric.Msg{Src: om.src, Dst: om.dst, Bytes: om.bytes, Payload: om.m})
+		f.SW.Inject(om.at, fabric.Msg{Src: om.src, Dst: om.dst, Bytes: om.bytes, Payload: f.newFrame(om)})
 	}
 	f.SW.AdvanceTo(t)
 	for _, d := range f.SW.Drain() {
-		m := d.Msg.Payload.(netMsg)
-		if d.Msg.Dst == f.ctlPort {
-			src := d.Msg.Src
-			f.Eng.At(d.At, func(any) { f.ctlRecv(src, m) }, nil)
+		fr := d.Msg.Payload.(*frame)
+		if fr.h == nil {
+			f.Eng.At(d.At, ctlDeliver, fr)
 		} else {
-			h := f.hosts[d.Msg.Dst]
-			h.eng.At(d.At, func(any) { f.hostRecv(h, m) }, nil)
+			fr.h.eng.At(d.At, hostDeliver, fr)
 		}
 	}
 
@@ -888,7 +927,8 @@ func (f *Fleet) AddFlowE(spec iosys.FlowSpec) error {
 		h.M.PauseFlow(spec.ID)
 	}
 	f.placement[spec.ID] = &placement{spec: spec, host: h.Index, victim: -1, target: -1}
-	f.order = append(f.order, spec.ID)
+	i, _ := slices.BinarySearch(f.ids, spec.ID)
+	f.ids = slices.Insert(f.ids, i, spec.ID)
 	return nil
 }
 
@@ -902,22 +942,21 @@ func (f *Fleet) AddFlow(spec iosys.FlowSpec) {
 
 // flowsOn returns the sorted IDs of non-migrating flows the balancer has
 // placed on host h.
-func (f *Fleet) flowsOn(h int) []int {
-	var ids []int
-	for _, id := range f.sortedFlowIDs() {
+func (f *Fleet) flowsOn(h int) []int { return f.appendFlowsOn(nil, h) }
+
+// appendFlowsOn appends flowsOn(h) to dst.
+func (f *Fleet) appendFlowsOn(dst []int, h int) []int {
+	for _, id := range f.ids {
 		if p := f.placement[id]; !p.migrating && p.host == h {
-			ids = append(ids, id)
+			dst = append(dst, id)
 		}
 	}
-	return ids
+	return dst
 }
 
-// sortedFlowIDs returns every placed flow ID in ascending order.
-func (f *Fleet) sortedFlowIDs() []int {
-	ids := append([]int(nil), f.order...)
-	sort.Ints(ids)
-	return ids
-}
+// sortedFlowIDs returns every placed flow ID in ascending order. The
+// slice is the fleet's own: callers must not modify it.
+func (f *Fleet) sortedFlowIDs() []int { return f.ids }
 
 // HostOf returns the index of the host currently holding flow id, or -1
 // when the flow is unknown or mid-migration.
@@ -964,8 +1003,12 @@ func (f *Fleet) Host(i int) *Host { return f.hosts[i] }
 // HostLive reports the balancer's view of host i.
 func (f *Fleet) HostLive(i int) bool { return f.hosts[i].live }
 
-// PlacedFlowIDs returns the sorted flow IDs placed on host i.
-func (f *Fleet) PlacedFlowIDs(i int) []int { return f.flowsOn(i) }
+// PlacedFlowIDs returns the sorted flow IDs placed on host i, in a
+// slice the next call reuses.
+func (f *Fleet) PlacedFlowIDs(i int) []int {
+	f.placedBuf = f.appendFlowsOn(f.placedBuf[:0], i)
+	return f.placedBuf
+}
 
 // OverdueMigrations returns the sorted IDs of flows still unplaced past
 // their drain deadline at time now.

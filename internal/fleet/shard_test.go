@@ -20,9 +20,22 @@ func rackFingerprint(t *testing.T, cfg Config, flows int, d sim.Time) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return fingerprint(t, f, flows, d, d, nil)
+}
+
+// fingerprint places flows on f, runs it for d with auditors attached,
+// in RunFor calls of chunk each with between called after each, and
+// returns rackFingerprint's string.
+func fingerprint(t *testing.T, f *Fleet, flows int, d, chunk sim.Time, between func()) string {
+	t.Helper()
 	addTestFlows(t, f, flows)
 	audit := f.AttachAuditors(20 * sim.Microsecond)
-	f.RunFor(d)
+	for end := f.Now() + d; f.Now() < end; {
+		f.RunFor(min(chunk, end-f.Now()))
+		if between != nil {
+			between()
+		}
+	}
 	audit.Final()
 	var buf bytes.Buffer
 	f.WriteReport(&buf)

@@ -31,7 +31,8 @@ type FleetView interface {
 	// dead, true again after revival).
 	HostLive(i int) bool
 	// PlacedFlowIDs returns the sorted flow IDs the balancer has placed
-	// on host i (excluding flows mid-migration).
+	// on host i (excluding flows mid-migration). The slice is valid until
+	// the next call.
 	PlacedFlowIDs(i int) []int
 	// OverdueMigrations returns the sorted IDs of flows still awaiting
 	// re-placement past their drain deadline at time now.

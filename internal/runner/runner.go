@@ -17,6 +17,9 @@
 // replicas — still respects one global concurrency bound. Only leaf
 // jobs (actual simulation runs) occupy a worker; a caller blocked in
 // Do/Map holds no worker slot, so nesting cannot deadlock the pool.
+// TryGo leases one idle worker to a long-lived job without ever
+// blocking, so a caller can build on the pool's bound and fall back to
+// its own goroutine when the pool is busy.
 package runner
 
 import (
@@ -31,9 +34,10 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // A nil *Pool is valid and runs every job inline on the caller —
 // callers never need to special-case the serial path.
 type Pool struct {
-	jobs chan poolJob
-	wg   sync.WaitGroup // workers
-	once sync.Once
+	jobs    chan poolJob
+	workers int
+	wg      sync.WaitGroup // workers
+	once    sync.Once
 }
 
 type poolJob struct {
@@ -50,7 +54,7 @@ func NewPool(workers int) *Pool {
 	if workers <= 1 {
 		return nil
 	}
-	p := &Pool{jobs: make(chan poolJob)}
+	p := &Pool{jobs: make(chan poolJob), workers: workers}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go p.worker()
@@ -73,7 +77,41 @@ func (p *Pool) runOne(fn func()) (panicked any) {
 	return nil
 }
 
-// Close shuts the workers down. Pending Do calls must have returned.
+// Width returns the number of workers: 1 for the nil (serial) pool.
+func (p *Pool) Width() int {
+	if p == nil {
+		return 1
+	}
+	return p.workers
+}
+
+// TryGo runs fn on a worker that is idle right now and reports whether
+// one was. It never blocks and never queues: when every worker is busy,
+// or the pool is serial, fn does not run and TryGo returns false. The
+// worker stays leased until fn returns, so fn counts against the pool's
+// bound like any Do job. A panic in fn is not recovered for the caller;
+// it crashes the process as it would on a plain goroutine.
+func (p *Pool) TryGo(fn func()) bool {
+	if p == nil {
+		return false
+	}
+	select {
+	case p.jobs <- poolJob{run: fn, done: repanic}:
+		return true
+	default:
+		return false
+	}
+}
+
+// repanic re-raises a TryGo job's panic on its worker.
+func repanic(pv any) {
+	if pv != nil {
+		panic(pv)
+	}
+}
+
+// Close shuts the workers down. Pending Do calls and TryGo jobs must
+// have returned.
 // Close on a nil (serial) pool is a no-op.
 func (p *Pool) Close() {
 	if p == nil {

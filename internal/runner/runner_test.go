@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -115,5 +116,40 @@ func TestDoZeroJobs(t *testing.T) {
 	p.Do(0, func(i int) { t.Fatal("no job should run") })
 	if got := Map(p, 0, func(i int) int { return 1 }); len(got) != 0 {
 		t.Fatal("Map(0) should be empty")
+	}
+}
+
+// TryGo leases idle workers only: with every worker held it returns
+// false at once, without queueing the job, and once a worker is free
+// again a lease succeeds and the job runs.
+func TestTryGoNeverBlocks(t *testing.T) {
+	const workers = 2
+	p := NewPool(workers)
+	defer p.Close()
+	if p.Width() != workers {
+		t.Fatalf("Width() = %d, want %d", p.Width(), workers)
+	}
+	var held, release sync.WaitGroup
+	held.Add(workers)
+	release.Add(1)
+	for i := 0; i < workers; i++ {
+		for !p.TryGo(func() { held.Done(); release.Wait() }) {
+			runtime.Gosched()
+		}
+	}
+	held.Wait()
+	if p.TryGo(func() { t.Error("job ran on a fully leased pool") }) {
+		t.Fatal("TryGo leased a worker while every worker was held")
+	}
+	release.Done()
+	ran := make(chan struct{})
+	for !p.TryGo(func() { close(ran) }) {
+		runtime.Gosched()
+	}
+	<-ran
+
+	var serial *Pool
+	if serial.Width() != 1 || serial.TryGo(func() {}) {
+		t.Fatal("the serial pool has width 1 and leases nothing")
 	}
 }
