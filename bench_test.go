@@ -327,13 +327,16 @@ func BenchmarkEngineEveryTickers(b *testing.B) {
 func BenchmarkLLCInsertConsume(b *testing.B) {
 	b.ReportAllocs()
 	llc := cache.NewLLC(6 << 20)
+	// Sixteen buffers in flight, each slot's owner holding its line's Ref
+	// the way a packet descriptor does.
+	var refs [16]cache.Ref
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := cache.BufID(i)
-		llc.InsertIO(id, 2048)
+		r := &refs[i%16]
 		if i >= 16 {
-			llc.Consume(cache.BufID(i - 16))
+			llc.ConsumeIn(0, *r)
 		}
+		llc.InsertIOSized(0, r, cache.BufID(i), 2048, 2048)
 	}
 }
 
@@ -368,11 +371,12 @@ func BenchmarkCreditConsumeRelease(b *testing.B) {
 	b.ReportAllocs()
 	ctrl := core.NewCreditController(3072)
 	ctrl.AddFlows(1, 2, 3, 4)
+	accts := []*core.FlowCredits{ctrl.Flow(1), ctrl.Flow(2), ctrl.Flow(3), ctrl.Flow(4)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := i%4 + 1
-		if ctrl.Consume(id) {
-			ctrl.Release(id, 1)
+		f := accts[i%4]
+		if ctrl.Consume(f) {
+			ctrl.Release(f, 1)
 		}
 	}
 }

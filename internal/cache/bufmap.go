@@ -2,8 +2,10 @@ package cache
 
 import "math/bits"
 
-// BufMap is an open-addressed hash table keyed by BufID: the LLC's
-// resident index and RDCA's in-flight tags, both touched on every packet.
+// BufMap is an open-addressed hash table keyed by BufID: RDCA's
+// in-flight tags, set and cleared for every RDCA packet and probed for
+// every line an eviction report or an imminence walk names. (The LLC
+// itself has no index; owners hold Refs.)
 // It probes linearly from a multiplicative (Fibonacci) hash and deletes
 // by backward shift, so there are no tombstones and a probe never walks
 // past the key's cluster. The zero value is an empty table; it allocates
@@ -15,7 +17,7 @@ import "math/bits"
 // hash would lay them out as one long run that every miss probe walks to
 // its end. Multiplying by 2^64/φ spreads consecutive keys evenly over the
 // table, and the top bits keep the spread for high-tagged IDs too
-// (dataplane state lines set bit 63).
+// (dataplane state lines, which the imminence walk probes, set bit 63).
 //
 // BufMap has no iteration: nothing depends on the order of its entries.
 type BufMap[V any] struct {

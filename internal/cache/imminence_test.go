@@ -11,7 +11,7 @@ import (
 // it in LRU order fall inside the threshold. A half-empty partition
 // reports nothing — inserts that fit evict no one.
 func TestImminentInDistanceIncludesFreeCapacity(t *testing.T) {
-	c := NewLLC(1000)
+	c := newIDLLC(1000)
 	c.InsertIO(1, 300) // LRU tail after the next insert
 	c.InsertIO(2, 300) // MRU; 400 bytes free
 	if got := c.ImminentIn(0, 400, nil); got != 0 {
@@ -33,7 +33,7 @@ func TestImminentInDistanceIncludesFreeCapacity(t *testing.T) {
 // TestImminentInEdgeCases: zero/negative thresholds and empty
 // partitions report nothing.
 func TestImminentInEdgeCases(t *testing.T) {
-	c := NewLLC(1000)
+	c := newIDLLC(1000)
 	if got := c.ImminentIn(0, 0, nil); got != 0 {
 		t.Fatalf("zero threshold: %d, want 0", got)
 	}
@@ -61,7 +61,7 @@ func TestRecycledBufferNoMissOnRefill(t *testing.T) {
 	f := func(ops []op) bool {
 		// 8 ids × 64B each fits a 1KB region: no capacity evictions, so
 		// every miss would have to come from Drop/re-fill accounting.
-		c := NewLLC(1024)
+		c := newIDLLC(1024)
 		resident := map[BufID]bool{}
 		for _, o := range ops {
 			id := BufID(o.ID % 8)

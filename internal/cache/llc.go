@@ -10,18 +10,38 @@
 // memory bandwidth) to read them (§2.2 of the paper).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// BufID identifies one I/O buffer in flight through the hierarchy.
+// BufID identifies one I/O buffer in flight through the hierarchy. The
+// LLC keeps it in the buffer's LRU node only to name the buffer in
+// eviction reports; residency is asked through a Ref.
 type BufID uint64
 
-// node is an intrusive doubly-linked LRU list node.
+// Ref is the handle to one buffer's LRU node, held by the buffer's owner
+// (a packet descriptor, a dataplane module's line table). A node's
+// generation bumps every time it is freed, so a Ref outlives its line
+// safely: once the line is consumed, dropped or evicted, the Ref reads
+// as not resident, even after the node is reused for another buffer. The
+// zero Ref is never resident. Generations are 32 bits: a stale Ref
+// could alias only after one slab slot was reused 2^32 times.
+type Ref struct {
+	idx int32 // slab index; slot 0 is never allocated
+	gen uint32
+}
+
+// node is an intrusive doubly-linked LRU list node in the LLC's slab.
+// Links are slab indexes (0 = none), so the slab holds no pointers and
+// the garbage collector never scans it.
 type node struct {
 	id         BufID
-	size       int64
-	payload    int64
-	part       int
-	prev, next *node
+	size       int32 // cache footprint
+	payload    int32 // dirty bytes a write-back of this line costs
+	part       int32
+	prev, next int32
+	gen        uint32
 }
 
 // Evicted describes one buffer pushed out of the LLC: its ID plus the
@@ -67,8 +87,8 @@ func (s QueueStats) MissRate() float64 {
 type partition struct {
 	capacity  int64
 	occupancy int64
-	head      *node // most recently inserted/touched
-	tail      *node // least recently used: next eviction victim
+	head      int32 // most recently inserted/touched (0 = empty)
+	tail      int32 // least recently used: next eviction victim
 	stats     PartStats
 }
 
@@ -78,12 +98,23 @@ type partition struct {
 // allocation for multi-tenant isolation); each partition runs its own LRU
 // replacement, and the per-partition occupancies always sum to the
 // region's total occupancy.
+//
+// The LLC has no index by buffer ID. Every insert hands the owner a Ref
+// to the buffer's node, and every later read, drop or refresh goes
+// through that Ref, so no per-packet path probes a table.
 type LLC struct {
 	capacity  int64
 	occupancy int64
 
-	entries BufMap[*node] // resident buffers by ID
-	parts   []partition
+	// nodes is the LRU node slab; nodes[0] is the "none" sentinel. Freed
+	// nodes chain through next from free and are reused before the slab
+	// grows, so the steady-state insert/evict/consume churn of the DMA
+	// path does not allocate.
+	nodes []node
+	free  int32
+	live  int // resident buffers
+
+	parts []partition
 
 	// queueStats, when enabled, attributes consume-side hits/misses to rx
 	// queues (one slot per simulated core); nil on single-core machines.
@@ -92,13 +123,9 @@ type LLC struct {
 	// onEvict, if set, is invoked for each buffer evicted to DRAM.
 	onEvict func(BufID)
 
-	// freeNodes recycles LRU nodes (chained through node.next) so the
-	// steady-state insert/evict/consume churn of the DMA path does not
-	// allocate.
-	freeNodes *node
-	// evictScratch backs the eviction list InsertIOIn returns; the slice
-	// is reused on the next insert, which is safe because every caller
-	// consumes it before touching the cache again.
+	// evictScratch backs the eviction list InsertIOSized returns; the
+	// slice is reused on the next insert, which is safe because every
+	// caller consumes it before touching the cache again.
 	evictScratch []Evicted
 
 	// Statistics (sums over all partitions).
@@ -116,6 +143,7 @@ func NewLLC(capacityBytes int64) *LLC {
 	}
 	return &LLC{
 		capacity: capacityBytes,
+		nodes:    make([]node, 1),
 		parts:    []partition{{capacity: capacityBytes}},
 	}
 }
@@ -129,11 +157,24 @@ func (c *LLC) Capacity() int64 { return c.capacity }
 // Occupancy returns the bytes currently resident across all partitions.
 func (c *LLC) Occupancy() int64 { return c.occupancy }
 
-// Resident reports whether id is currently cached.
-func (c *LLC) Resident(id BufID) bool { return c.entries.Has(id) }
+// node returns r's node, or nil when r is not resident (zero, or its
+// line was freed since r was issued).
+func (c *LLC) node(r Ref) *node {
+	if r.idx == 0 {
+		return nil
+	}
+	n := &c.nodes[r.idx]
+	if n.gen != r.gen {
+		return nil
+	}
+	return n
+}
+
+// Resident reports whether r's buffer is currently cached.
+func (c *LLC) Resident(r Ref) bool { return c.node(r) != nil }
 
 // Len returns the number of resident buffers.
-func (c *LLC) Len() int { return c.entries.Len() }
+func (c *LLC) Len() int { return c.live }
 
 // Partitions returns the number of partitions (1 when unpartitioned).
 func (c *LLC) Partitions() int { return len(c.parts) }
@@ -153,8 +194,8 @@ func (c *LLC) PartStats(i int) PartStats { return c.parts[i].stats }
 // total capacity (so partition occupancies always sum to the machine
 // total).
 func (c *LLC) Partition(capacities []int64) error {
-	if c.entries.Len() != 0 {
-		return fmt.Errorf("cache: partitioning a non-empty LLC (%d resident buffers)", c.entries.Len())
+	if c.live != 0 {
+		return fmt.Errorf("cache: partitioning a non-empty LLC (%d resident buffers)", c.live)
 	}
 	if len(capacities) == 0 {
 		return fmt.Errorf("cache: partitioning into zero partitions")
@@ -194,74 +235,104 @@ func (c *LLC) MoveCapacity(from, to int, bytes int64) (evicted []Evicted) {
 	}
 	src.capacity -= bytes
 	dst.capacity += bytes
-	for src.occupancy > src.capacity && src.tail != nil {
-		victim := src.tail
-		src.unlink(victim)
-		c.entries.Delete(victim.id)
-		src.occupancy -= victim.size
-		c.occupancy -= victim.size
-		src.stats.Evictions++
-		c.Evictions++
-		evicted = append(evicted, Evicted{ID: victim.id, Payload: victim.payload})
-		if c.onEvict != nil {
-			c.onEvict(victim.id)
-		}
-		c.freeNode(victim)
+	for src.occupancy > src.capacity && src.tail != 0 {
+		evicted = c.evict(src, src.tail, evicted)
 	}
 	return evicted
 }
 
-func (c *LLC) allocNode(id BufID, size, payload int64, part int) *node {
-	n := c.freeNodes
-	if n == nil {
-		return &node{id: id, size: size, payload: payload, part: part}
+// alloc takes a node off the free list (growing the slab when it is
+// empty), fills it, and returns its index.
+func (c *LLC) alloc(id BufID, size, payload int64, part int) int32 {
+	i := c.free
+	if i == 0 {
+		i = int32(len(c.nodes))
+		c.nodes = append(c.nodes, node{})
+	} else {
+		c.free = c.nodes[i].next
 	}
-	c.freeNodes = n.next
-	*n = node{id: id, size: size, payload: payload, part: part}
-	return n
+	n := &c.nodes[i]
+	*n = node{id: id, size: int32(size), payload: int32(payload), part: int32(part), gen: n.gen}
+	c.live++
+	return i
 }
 
-func (c *LLC) freeNode(n *node) {
-	*n = node{next: c.freeNodes}
-	c.freeNodes = n
+// release returns node i to the free list. Bumping its generation is
+// what turns every Ref to it stale.
+func (c *LLC) release(i int32) {
+	n := &c.nodes[i]
+	*n = node{next: c.free, gen: n.gen + 1}
+	c.free = i
+	c.live--
 }
 
-func (p *partition) pushFront(n *node) {
-	n.prev = nil
+func (c *LLC) pushFront(p *partition, i int32) {
+	n := &c.nodes[i]
+	n.prev = 0
 	n.next = p.head
-	if p.head != nil {
-		p.head.prev = n
+	if p.head != 0 {
+		c.nodes[p.head].prev = i
 	}
-	p.head = n
-	if p.tail == nil {
-		p.tail = n
+	p.head = i
+	if p.tail == 0 {
+		p.tail = i
 	}
 }
 
-func (p *partition) unlink(n *node) {
-	if n.prev != nil {
-		n.prev.next = n.next
+func (c *LLC) unlink(p *partition, i int32) {
+	n := &c.nodes[i]
+	if n.prev != 0 {
+		c.nodes[n.prev].next = n.next
 	} else {
 		p.head = n.next
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
+	if n.next != 0 {
+		c.nodes[n.next].prev = n.prev
 	} else {
 		p.tail = n.prev
 	}
-	n.prev, n.next = nil, nil
+	n.prev, n.next = 0, 0
 }
 
-// InsertIO models a DDIO write into partition 0 (the whole region when
-// unpartitioned); see InsertIOIn.
-func (c *LLC) InsertIO(id BufID, size int64) (evicted []Evicted) {
-	return c.InsertIOSized(0, id, size, size)
+// evict pushes node i out of partition p to DRAM, appending it to
+// evicted and firing the eviction handler.
+func (c *LLC) evict(p *partition, i int32, evicted []Evicted) []Evicted {
+	c.unlink(p, i)
+	n := &c.nodes[i]
+	p.occupancy -= int64(n.size)
+	c.occupancy -= int64(n.size)
+	p.stats.Evictions++
+	c.Evictions++
+	id := n.id
+	evicted = append(evicted, Evicted{ID: id, Payload: int64(n.payload)})
+	c.release(i)
+	if c.onEvict != nil {
+		c.onEvict(id)
+	}
+	return evicted
 }
 
-// InsertIOIn is InsertIOSized with the payload equal to the cache
-// footprint (buffers whose dirty data fills their lines).
-func (c *LLC) InsertIOIn(part int, id BufID, size int64) (evicted []Evicted) {
-	return c.InsertIOSized(part, id, size, size)
+// fill evicts partition p's LRU victims until it is back within
+// capacity, sparing the just-filled node i when it is the only line
+// left.
+func (c *LLC) fill(p *partition, i int32, evicted []Evicted) []Evicted {
+	for p.occupancy > p.capacity && p.tail != 0 {
+		if p.tail == i && c.nodes[i].prev == 0 {
+			// The just-inserted buffer is the only one in its partition;
+			// keep it resident even over capacity.
+			break
+		}
+		evicted = c.evict(p, p.tail, evicted)
+	}
+	return evicted
+}
+
+// checkSize panics on a non-positive footprint or one the 32-bit node
+// field cannot hold.
+func checkSize(what string, size int64) {
+	if size <= 0 || size > math.MaxInt32 {
+		panic(fmt.Sprintf("cache: %s of size %d outside (0, 2^31)", what, size))
+	}
 }
 
 // InsertIOSized models a DDIO write of one I/O buffer into partition
@@ -272,23 +343,27 @@ func (c *LLC) InsertIOIn(part int, id BufID, size int64) (evicted []Evicted) {
 // least-recently-used buffers are evicted to DRAM until the new buffer
 // fits ("subsequent packets overwrite earlier ones", §2.2). The evicted
 // buffers are returned with their payloads (the eviction handler also
-// fires). Inserting an already-resident buffer refreshes it to MRU
-// within its home partition.
+// fires).
+//
+// ref is the owner's handle: when it names a resident buffer, the buffer
+// refreshes to MRU within its home partition; otherwise a new line is
+// filled and *ref set to it. id names the buffer in eviction reports.
 //
 // The returned slice is valid only until the next insert: it is backed by
 // a scratch buffer reused across calls, so callers must consume it before
 // re-entering the cache (every datapath caller does so synchronously).
-func (c *LLC) InsertIOSized(part int, id BufID, size, payload int64) (evicted []Evicted) {
-	if size <= 0 {
-		panic(fmt.Sprintf("cache: insert of non-positive size %d", size))
+func (c *LLC) InsertIOSized(part int, ref *Ref, id BufID, size, payload int64) (evicted []Evicted) {
+	checkSize("insert", size)
+	if payload < 0 || payload > math.MaxInt32 {
+		panic(fmt.Sprintf("cache: insert payload %d outside [0, 2^31)", payload))
 	}
 	p := &c.parts[part]
 	evicted = c.evictScratch[:0]
 	if size > p.capacity {
 		// A buffer that can never fit bypasses the cache entirely (this
 		// also covers a partition shrunk to zero ways). The miss is NOT
-		// counted here: the consumer's later Consume/Probe on the
-		// non-resident ID charges it exactly once, at read time.
+		// counted here: the consumer's later read through the
+		// non-resident Ref charges it exactly once, at read time.
 		if c.onEvict != nil {
 			c.onEvict(id)
 		}
@@ -296,44 +371,27 @@ func (c *LLC) InsertIOSized(part int, id BufID, size, payload int64) (evicted []
 		c.evictScratch = evicted
 		return evicted
 	}
-	if n, ok := c.entries.Get(id); ok {
+	i := ref.idx
+	if n := c.node(*ref); n != nil {
 		// Refresh within the buffer's home partition (a buffer belongs to
 		// one flow, and a flow's partition is fixed for its lifetime).
 		p = &c.parts[n.part]
-		p.occupancy += size - n.size
-		c.occupancy += size - n.size
-		n.size = size
-		n.payload = payload
-		p.unlink(n)
-		p.pushFront(n)
+		p.occupancy += size - int64(n.size)
+		c.occupancy += size - int64(n.size)
+		n.size = int32(size)
+		n.payload = int32(payload)
+		c.unlink(p, i)
+		c.pushFront(p, i)
 	} else {
-		n := c.allocNode(id, size, payload, part)
-		c.entries.Put(id, n)
-		p.pushFront(n)
+		i = c.alloc(id, size, payload, part)
+		*ref = Ref{idx: i, gen: c.nodes[i].gen}
+		c.pushFront(p, i)
 		p.occupancy += size
 		c.occupancy += size
 		p.stats.Insertions++
 		c.Insertions++
 	}
-	for p.occupancy > p.capacity && p.tail != nil {
-		victim := p.tail
-		if victim.id == id && victim.prev == nil {
-			// The just-inserted buffer is the only one in its partition;
-			// keep it resident even over capacity.
-			break
-		}
-		p.unlink(victim)
-		c.entries.Delete(victim.id)
-		p.occupancy -= victim.size
-		c.occupancy -= victim.size
-		p.stats.Evictions++
-		c.Evictions++
-		evicted = append(evicted, Evicted{ID: victim.id, Payload: victim.payload})
-		if c.onEvict != nil {
-			c.onEvict(victim.id)
-		}
-		c.freeNode(victim)
-	}
+	evicted = c.fill(p, i, evicted)
 	c.evictScratch = evicted
 	return evicted
 }
@@ -359,122 +417,93 @@ func (c *LLC) ImminentIn(part int, thresholdBytes int64, pred func(BufID) bool) 
 	p := &c.parts[part]
 	dist := p.capacity - p.occupancy
 	count := 0
-	for n := p.tail; n != nil && dist < thresholdBytes; n = n.prev {
+	for i := p.tail; i != 0 && dist < thresholdBytes; i = c.nodes[i].prev {
+		n := &c.nodes[i]
 		if pred == nil || pred(n.id) {
 			count++
 		}
-		dist += n.size
+		dist += int64(n.size)
 	}
 	return count
-}
-
-// PayloadOf returns the payload bytes recorded for a resident buffer,
-// 0 when id is not resident.
-func (c *LLC) PayloadOf(id BufID) int64 {
-	if n, ok := c.entries.Get(id); ok {
-		return n.payload
-	}
-	return 0
 }
 
 // TouchState models a CPU access to one cache line of dataplane module
 // state (NAT tables, firewall connection entries, UPF sessions; see
 // internal/dataplane) living in the same LLC region the DDIO writes
-// land in. A resident line refreshes to MRU and reports a hit. A miss
-// fills the line into partition part — evicting LRU victims exactly
-// like a DDIO insert, which is how a heavy pipeline's working set
-// pushes I/O buffers out and inflates the I/O miss rate — and reports
-// the victims. Unlike InsertIOIn/ConsumeIn, TouchState does NOT bump
-// the LLC's Insertions/Hits/Misses counters: those count the I/O path
-// (DDIO writes and packet reads), and the paper's miss-ratio series
-// must keep meaning that. Callers (the dataplane engine) keep their own
-// per-module hit/miss counters. Eviction counters and the eviction
-// handler fire normally, since a line leaving the region is a real
-// eviction whatever displaced it.
+// land in. A resident line (*ref names it) refreshes to MRU and reports
+// a hit. A miss fills the line into partition part, sets *ref to it —
+// evicting LRU victims exactly like a DDIO insert, which is how a heavy
+// pipeline's working set pushes I/O buffers out and inflates the I/O
+// miss rate — and reports the victims. Unlike InsertIOSized/ConsumeIn,
+// TouchState does NOT bump the LLC's Insertions/Hits/Misses counters:
+// those count the I/O path (DDIO writes and packet reads), and the
+// paper's miss-ratio series must keep meaning that. Callers (the
+// dataplane engine) keep their own per-module hit/miss counters.
+// Eviction counters and the eviction handler fire normally, since a line
+// leaving the region is a real eviction whatever displaced it.
 //
 // The returned slice shares the insert scratch buffer: consume it
 // before re-entering the cache. A line wider than the partition (a
 // zero-way carve) bypasses the cache: miss, nothing inserted.
-func (c *LLC) TouchState(part int, id BufID, size int64) (hit bool, evicted []Evicted) {
-	if size <= 0 {
-		panic(fmt.Sprintf("cache: state touch of non-positive size %d", size))
-	}
-	if n, ok := c.entries.Get(id); ok {
+func (c *LLC) TouchState(part int, ref *Ref, id BufID, size int64) (hit bool, evicted []Evicted) {
+	checkSize("state touch", size)
+	if n := c.node(*ref); n != nil {
 		p := &c.parts[n.part]
-		p.unlink(n)
-		p.pushFront(n)
+		c.unlink(p, ref.idx)
+		c.pushFront(p, ref.idx)
 		return true, nil
 	}
 	p := &c.parts[part]
 	if size > p.capacity {
 		return false, nil
 	}
-	n := c.allocNode(id, size, size, part)
-	c.entries.Put(id, n)
-	p.pushFront(n)
+	i := c.alloc(id, size, size, part)
+	*ref = Ref{idx: i, gen: c.nodes[i].gen}
+	c.pushFront(p, i)
 	p.occupancy += size
 	c.occupancy += size
-	evicted = c.evictScratch[:0]
-	for p.occupancy > p.capacity && p.tail != nil {
-		victim := p.tail
-		if victim.id == id && victim.prev == nil {
-			break
-		}
-		p.unlink(victim)
-		c.entries.Delete(victim.id)
-		p.occupancy -= victim.size
-		c.occupancy -= victim.size
-		p.stats.Evictions++
-		c.Evictions++
-		evicted = append(evicted, Evicted{ID: victim.id, Payload: victim.payload})
-		if c.onEvict != nil {
-			c.onEvict(victim.id)
-		}
-		c.freeNode(victim)
-	}
+	evicted = c.fill(p, i, c.evictScratch[:0])
 	c.evictScratch = evicted
 	return false, evicted
 }
 
-// Consume is ConsumeIn against partition 0 (miss attribution when the
-// buffer was never resident).
-func (c *LLC) Consume(id BufID) bool { return c.ConsumeIn(0, id) }
+// remove unlinks resident node n (index i) from its partition and frees
+// it, returning the partition it lived in.
+func (c *LLC) remove(i int32, n *node) *partition {
+	p := &c.parts[n.part]
+	c.unlink(p, i)
+	p.occupancy -= int64(n.size)
+	c.occupancy -= int64(n.size)
+	c.release(i)
+	return p
+}
 
 // ConsumeIn models the CPU (or memory controller) reading and retiring
-// one I/O buffer. It returns true on an LLC hit: the buffer was still
+// r's I/O buffer. It returns true on an LLC hit: the buffer was still
 // resident and is freed. It returns false on a miss: the buffer was
 // evicted to DRAM before the consumer reached it, so the caller must
 // charge a DRAM access. A hit is charged to the buffer's home partition;
 // a miss to part, the reader's own partition.
-func (c *LLC) ConsumeIn(part int, id BufID) bool {
-	n, ok := c.entries.Delete(id)
-	if !ok {
+func (c *LLC) ConsumeIn(part int, r Ref) bool {
+	n := c.node(r)
+	if n == nil {
 		c.parts[part].stats.Misses++
 		c.Misses++
 		return false
 	}
-	p := &c.parts[n.part]
-	p.unlink(n)
-	p.occupancy -= n.size
-	c.occupancy -= n.size
-	p.stats.Hits++
+	c.remove(r.idx, n).stats.Hits++
 	c.Hits++
-	c.freeNode(n)
 	return true
 }
 
-// Peek is PeekIn against partition 0.
-func (c *LLC) Peek(id BufID) bool { return c.PeekIn(0, id) }
-
 // PeekIn is ConsumeIn without retiring: it classifies hit/miss and
-// updates counters but leaves a resident buffer in place (used by
-// workloads that touch a buffer multiple times).
-func (c *LLC) PeekIn(part int, id BufID) bool {
-	if n, ok := c.entries.Get(id); ok {
-		// Refresh recency on touch.
+// updates counters but leaves a resident buffer in place, refreshed to
+// MRU (used by workloads that touch a buffer multiple times).
+func (c *LLC) PeekIn(part int, r Ref) bool {
+	if n := c.node(r); n != nil {
 		p := &c.parts[n.part]
-		p.unlink(n)
-		p.pushFront(n)
+		c.unlink(p, r.idx)
+		c.pushFront(p, r.idx)
 		p.stats.Hits++
 		c.Hits++
 		return true
@@ -484,16 +513,13 @@ func (c *LLC) PeekIn(part int, id BufID) bool {
 	return false
 }
 
-// Probe is ProbeIn against partition 0.
-func (c *LLC) Probe(id BufID) bool { return c.ProbeIn(0, id) }
-
 // ProbeIn classifies a read as hit or miss without retiring the buffer or
 // refreshing its recency. It models the use-once streaming read of a
 // CPU-bypass consumer over a write-back cache: the line stays resident
 // (dirty) until capacity pressure evicts it, which is how bypass traffic
 // "continuously flushes the LLC" in the paper's coexistence analysis.
-func (c *LLC) ProbeIn(part int, id BufID) bool {
-	if n, ok := c.entries.Get(id); ok {
+func (c *LLC) ProbeIn(part int, r Ref) bool {
+	if n := c.node(r); n != nil {
 		c.parts[n.part].stats.Hits++
 		c.Hits++
 		return true
@@ -503,15 +529,12 @@ func (c *LLC) ProbeIn(part int, id BufID) bool {
 	return false
 }
 
-// Drop removes a buffer without classifying it as hit or miss (used when a
-// packet is dropped before any consumer touches it).
-func (c *LLC) Drop(id BufID) {
-	if n, ok := c.entries.Delete(id); ok {
-		p := &c.parts[n.part]
-		p.unlink(n)
-		p.occupancy -= n.size
-		c.occupancy -= n.size
-		c.freeNode(n)
+// Drop removes r's buffer without classifying it as hit or miss (used
+// when a packet is dropped before any consumer touches it). A no-op when
+// r is not resident.
+func (c *LLC) Drop(r Ref) {
+	if n := c.node(r); n != nil {
+		c.remove(r.idx, n)
 	}
 }
 
@@ -568,29 +591,40 @@ func (c *LLC) ResetStats() {
 	}
 }
 
-// checkInvariants validates internal consistency; used by tests.
+// checkInvariants validates internal consistency; used by tests. Every
+// slab node past the sentinel is on exactly one partition list or on the
+// free list.
 func (c *LLC) checkInvariants() error {
 	var occSum, capSum int64
 	var st PartStats
 	count := 0
-	seen := make(map[BufID]bool)
+	seen := make([]bool, len(c.nodes))
 	for pi := range c.parts {
 		p := &c.parts[pi]
 		var sum int64
 		pcount := 0
-		for n := p.head; n != nil; n = n.next {
-			if seen[n.id] {
-				return fmt.Errorf("cycle or duplicate at %d", n.id)
+		var prev int32
+		for i := p.head; i != 0; i = c.nodes[i].next {
+			n := &c.nodes[i]
+			if seen[i] {
+				return fmt.Errorf("cycle or duplicate at node %d (buffer %d)", i, n.id)
 			}
-			seen[n.id] = true
-			if n.part != pi {
+			seen[i] = true
+			if n.prev != prev {
+				return fmt.Errorf("node %d (buffer %d) prev %d, want %d", i, n.id, n.prev, prev)
+			}
+			prev = i
+			if int(n.part) != pi {
 				return fmt.Errorf("buffer %d in partition %d's list but tagged %d", n.id, pi, n.part)
 			}
-			sum += n.size
-			pcount++
-			if n.next == nil && p.tail != n {
-				return fmt.Errorf("partition %d tail mismatch", pi)
+			if n.size <= 0 {
+				return fmt.Errorf("buffer %d has non-positive size %d", n.id, n.size)
 			}
+			sum += int64(n.size)
+			pcount++
+		}
+		if p.tail != prev {
+			return fmt.Errorf("partition %d tail %d, list ends at %d", pi, p.tail, prev)
 		}
 		if sum != p.occupancy {
 			return fmt.Errorf("partition %d occupancy %d != sum %d", pi, p.occupancy, sum)
@@ -612,8 +646,19 @@ func (c *LLC) checkInvariants() error {
 	if capSum != c.capacity {
 		return fmt.Errorf("capacity %d != partition sum %d", c.capacity, capSum)
 	}
-	if count != c.entries.Len() {
-		return fmt.Errorf("lists %d != index %d", count, c.entries.Len())
+	if count != c.live {
+		return fmt.Errorf("lists hold %d buffers, live count %d", count, c.live)
+	}
+	free := 0
+	for i := c.free; i != 0; i = c.nodes[i].next {
+		if seen[i] {
+			return fmt.Errorf("node %d both free and listed (or free-list cycle)", i)
+		}
+		seen[i] = true
+		free++
+	}
+	if count+free != len(c.nodes)-1 {
+		return fmt.Errorf("slab of %d nodes: %d listed + %d free", len(c.nodes)-1, count, free)
 	}
 	if st != (PartStats{Insertions: c.Insertions, Evictions: c.Evictions, Hits: c.Hits, Misses: c.Misses}) {
 		return fmt.Errorf("global counters %+v diverge from partition sums %+v",

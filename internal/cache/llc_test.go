@@ -3,12 +3,13 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ceio/internal/sim"
 )
 
 func TestLLCHitOnResident(t *testing.T) {
-	c := NewLLC(1000)
+	c := newIDLLC(1000)
 	c.InsertIO(1, 500)
 	if !c.Consume(1) {
 		t.Fatal("expected hit")
@@ -22,7 +23,7 @@ func TestLLCHitOnResident(t *testing.T) {
 }
 
 func TestLLCMissOnEvicted(t *testing.T) {
-	c := NewLLC(1000)
+	c := newIDLLC(1000)
 	var evicted []BufID
 	c.SetEvictHandler(func(id BufID) { evicted = append(evicted, id) })
 	c.InsertIO(1, 600)
@@ -45,7 +46,7 @@ func TestLLCMissOnEvicted(t *testing.T) {
 }
 
 func TestLLCLRUOrder(t *testing.T) {
-	c := NewLLC(300)
+	c := newIDLLC(300)
 	c.InsertIO(1, 100)
 	c.InsertIO(2, 100)
 	c.InsertIO(3, 100)
@@ -63,7 +64,7 @@ func TestLLCLRUOrder(t *testing.T) {
 }
 
 func TestLLCReinsertRefreshes(t *testing.T) {
-	c := NewLLC(300)
+	c := newIDLLC(300)
 	c.InsertIO(1, 100)
 	c.InsertIO(2, 100)
 	c.InsertIO(1, 100) // refresh: 2 is now LRU
@@ -77,7 +78,7 @@ func TestLLCReinsertRefreshes(t *testing.T) {
 }
 
 func TestLLCOversizeBypasses(t *testing.T) {
-	c := NewLLC(100)
+	c := newIDLLC(100)
 	ev := c.InsertIO(1, 200)
 	if len(ev) != 1 || ev[0].ID != 1 {
 		t.Fatalf("oversize insert should bypass, got %v", ev)
@@ -94,7 +95,7 @@ func TestLLCOversizeBypasses(t *testing.T) {
 // also increment Misses, double-counting every oversized buffer and
 // inflating MissRate.)
 func TestLLCOversizeMissCountedOnce(t *testing.T) {
-	c := NewLLC(100)
+	c := newIDLLC(100)
 	c.InsertIO(1, 200)
 	if c.Misses != 0 {
 		t.Fatalf("insert of oversized buffer charged %d misses, want 0 (miss belongs to the consumer)", c.Misses)
@@ -133,7 +134,7 @@ func TestLLCOversizeMissCountedOnce(t *testing.T) {
 }
 
 func TestLLCDrop(t *testing.T) {
-	c := NewLLC(100)
+	c := newIDLLC(100)
 	c.InsertIO(1, 50)
 	c.Drop(1)
 	if c.Resident(1) || c.Occupancy() != 0 {
@@ -146,7 +147,7 @@ func TestLLCDrop(t *testing.T) {
 }
 
 func TestLLCPeekMiss(t *testing.T) {
-	c := NewLLC(100)
+	c := newIDLLC(100)
 	if c.Peek(7) {
 		t.Fatal("peek of absent buffer should miss")
 	}
@@ -156,7 +157,7 @@ func TestLLCPeekMiss(t *testing.T) {
 }
 
 func TestLLCResetStats(t *testing.T) {
-	c := NewLLC(100)
+	c := newIDLLC(100)
 	c.InsertIO(1, 50)
 	c.Consume(1)
 	c.ResetStats()
@@ -174,7 +175,7 @@ func TestLLCInvariantsProperty(t *testing.T) {
 		Size   uint8
 	}
 	f := func(ops []op) bool {
-		c := NewLLC(1024)
+		c := newIDLLC(1024)
 		for _, o := range ops {
 			if o.Insert {
 				c.InsertIO(BufID(o.ID), int64(o.Size)+1)
@@ -200,7 +201,7 @@ func TestLLCInvariantsProperty(t *testing.T) {
 // produces a miss rate that grows with the overshoot.
 func TestLLCPressureDrivesMissRate(t *testing.T) {
 	run := func(inFlight int) float64 {
-		c := NewLLC(64 * 1024) // 32 buffers of 2KB
+		c := newIDLLC(64 * 1024) // 32 buffers of 2KB
 		next := BufID(1)
 		outstanding := []BufID{}
 		// Pipeline: insert inFlight buffers, then consume in FIFO order
@@ -282,5 +283,17 @@ func TestIIO(t *testing.T) {
 	b.Drain(1000) // clamps at zero
 	if b.Occupancy() != 0 {
 		t.Fatal("occupancy should clamp to 0")
+	}
+}
+
+// TestSlabLayout pins the sizes the LLC's memory footprint rests on: a
+// 32-byte LRU node with no pointers for the collector to scan, and an
+// 8-byte Ref that owners embed.
+func TestSlabLayout(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got > 32 {
+		t.Fatalf("LRU node is %d bytes, want at most 32", got)
+	}
+	if got := unsafe.Sizeof(Ref{}); got != 8 {
+		t.Fatalf("Ref is %d bytes, want 8", got)
 	}
 }

@@ -9,7 +9,7 @@ import (
 // expectations: inserts land in their own partitions, a full partition
 // evicts only its own lines, and untouched partitions keep theirs.
 func TestPartitionBasics(t *testing.T) {
-	c := NewLLC(300)
+	c := newIDLLC(300)
 	if err := c.Partition([]int64{100, 200}); err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestPartitionBasics(t *testing.T) {
 
 // TestPartitionRejections pins the setup-time error paths.
 func TestPartitionRejections(t *testing.T) {
-	c := NewLLC(100)
+	c := newIDLLC(100)
 	if err := c.Partition([]int64{50, 40}); err == nil {
 		t.Fatal("capacity sum mismatch accepted")
 	}
@@ -67,7 +67,7 @@ func TestPartitionRejections(t *testing.T) {
 // TestMoveCapacityEvicts verifies that shrinking a partition flushes the
 // lines it can no longer hold, LRU first, and conserves total capacity.
 func TestMoveCapacityEvicts(t *testing.T) {
-	c := NewLLC(400)
+	c := newIDLLC(400)
 	if err := c.Partition([]int64{200, 200}); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestPartitionOccupancySumProperty(t *testing.T) {
 		nParts := 2 + rng.Intn(4)
 		unit := int64(256)
 		total := unit * int64(nParts) * 8
-		c := NewLLC(total)
+		c := newIDLLC(total)
 		caps := make([]int64, nParts)
 		left := total
 		for i := 0; i < nParts-1; i++ {
@@ -207,7 +207,7 @@ func TestPartitionOccupancySumProperty(t *testing.T) {
 // behavior — the guarantee that partitioning the code path did not
 // perturb unpartitioned machines.
 func TestSinglePartitionMatchesLegacy(t *testing.T) {
-	run := func(c *LLC) (sig []int64) {
+	run := func(c *idLLC) (sig []int64) {
 		rng := rand.New(rand.NewSource(42))
 		for op := 0; op < 3000; op++ {
 			id := BufID(rng.Int63n(200))
@@ -227,8 +227,8 @@ func TestSinglePartitionMatchesLegacy(t *testing.T) {
 		sig = append(sig, c.Occupancy(), int64(c.Hits), int64(c.Misses), int64(c.Evictions), int64(c.Insertions))
 		return sig
 	}
-	a := run(NewLLC(64 << 10))
-	explicit := NewLLC(64 << 10)
+	a := run(newIDLLC(64 << 10))
+	explicit := newIDLLC(64 << 10)
 	if err := explicit.Partition([]int64{64 << 10}); err != nil {
 		t.Fatal(err)
 	}

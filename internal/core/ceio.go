@@ -68,6 +68,13 @@ type flowState struct {
 	f  *iosys.Flow
 	sw *ring.SWRing
 
+	// credits and rule are the flow's credit account and steering rule,
+	// held so the packet path reaches them without an ID lookup. After
+	// teardown both stay behind, detached: the removed account refuses
+	// consumes and releases, and gone stops steering updates.
+	credits *FlowCredits
+	rule    *flowsteer.Rule
+
 	mode pkt.Path // current steering action for this flow
 
 	fastInFlight  int           // fast-path DMA writes not yet landed
@@ -243,15 +250,15 @@ const swRingEntries int = 8192
 // fast-path steering rule to the RMT engine.
 func (c *CEIO) FlowAdded(f *iosys.Flow) {
 	c.ctrl.AddFlows(f.ID)
-	st := &flowState{f: f, sw: ring.NewSWRing(swRingEntries)}
+	st := &flowState{f: f, sw: ring.NewSWRing(swRingEntries), credits: c.ctrl.Flow(f.ID)}
 	st.sw.FaultTolerant = c.faultMode
 	if c.opt.ForceSlowPath {
 		c.ctrl.Recycle(f.ID)
 		st.mode = pkt.PathSlow
-		c.m.Steer.Install(f.ID, flowsteer.ActionSlowPath)
+		st.rule = c.m.Steer.Install(f.ID, flowsteer.ActionSlowPath)
 	} else {
 		st.mode = pkt.PathFast
-		c.m.Steer.Install(f.ID, flowsteer.ActionFastPath)
+		st.rule = c.m.Steer.Install(f.ID, flowsteer.ActionFastPath)
 	}
 	c.flows[f.ID] = st
 	f.DP = st
@@ -362,8 +369,8 @@ const controlOverhead sim.Time = 150 * sim.Nanosecond
 // buffer. The control overhead models the flow controller logic on the
 // NIC cores.
 func (c *CEIO) Ingress(f *iosys.Flow, p *pkt.Packet) {
-	st := c.flows[f.ID]
-	if st == nil {
+	st := f.DP.(*flowState)
+	if st.gone {
 		// Flow torn down while the packet was on the wire: recycle the
 		// descriptor. The flow's counters are gone with it, so nothing
 		// is counted as a drop.
@@ -384,7 +391,7 @@ func ctrlDecide(arg any) {
 		c.m.Drop(st.f, p)
 		return
 	}
-	action := c.m.Steer.Lookup(st.f.ID, p.Size)
+	action := c.m.Steer.Lookup(st.rule, p.Size)
 	if action == flowsteer.ActionFastPath {
 		if st.mode == pkt.PathSlow {
 			// Stale rule: the demotion's table update has not taken
@@ -426,11 +433,11 @@ const (
 )
 
 func (c *CEIO) trySteer(st *flowState, a flowsteer.Action, epoch uint64, attempt int) {
-	if st.steerEpoch != epoch || c.flows[st.f.ID] != st {
+	if st.steerEpoch != epoch || st.gone {
 		return // superseded, or flow gone
 	}
 	if c.m.Faults == nil {
-		c.m.Steer.SetAction(st.f.ID, a)
+		c.m.Steer.Set(st.rule, a)
 		return
 	}
 	delay, fail := c.m.Faults.SteerUpdate()
@@ -449,7 +456,7 @@ func (c *CEIO) trySteer(st *flowState, a flowsteer.Action, epoch uint64, attempt
 		c.m.Eng.After(delay, steerCommit, &steerStep{c, st, a, epoch, attempt})
 		return
 	}
-	c.m.Steer.SetAction(st.f.ID, a)
+	c.m.Steer.Set(st.rule, a)
 	st.degraded = false
 }
 
@@ -472,10 +479,10 @@ func steerRetry(arg any) {
 func steerCommit(arg any) {
 	s := arg.(*steerStep)
 	c, st := s.c, s.st
-	if st.steerEpoch != s.epoch || c.flows[st.f.ID] != st {
+	if st.steerEpoch != s.epoch || st.gone {
 		return
 	}
-	c.m.Steer.SetAction(st.f.ID, s.a)
+	c.m.Steer.Set(st.rule, s.a)
 	st.degraded = false
 }
 
@@ -549,7 +556,7 @@ func (a creditAdmission) admit(st *flowState, p *pkt.Packet) bool {
 		c.CoreRejects++
 		return false
 	}
-	if !c.ctrl.Consume(st.f.ID) {
+	if !c.ctrl.Consume(st.credits) {
 		return false
 	}
 	// Proactive rate signal: when the flow's credit balance runs low, the
@@ -557,7 +564,7 @@ func (a creditAdmission) admit(st *flowState, p *pkt.Packet) bool {
 	// with in-flight data just below the credit bound — before any LLC
 	// overflow occurs. This is the "proactive" half of Table 1: the signal
 	// fires ahead of misses, where HostCC's fires only after them.
-	if c.ctrl.Available(st.f.ID) < c.lowWater() {
+	if st.credits.Available < c.lowWater() {
 		p.Marked = true
 	}
 	return true
@@ -591,7 +598,7 @@ func ceioFastLanded(arg any) {
 
 // unadmit returns the credit taken by admit when the fast path could not
 // be used after all.
-func (a creditAdmission) unadmit(st *flowState) { a.c.ctrl.Release(st.f.ID, 1) }
+func (a creditAdmission) unadmit(st *flowState) { a.c.ctrl.Release(st.credits, 1) }
 
 // delivered performs lazy credit release: when the application finishes
 // a message batch (MsgEnd), the fast-path credits its packets consumed
@@ -624,7 +631,7 @@ func (a creditAdmission) delivered(st *flowState, p *pkt.Packet) {
 // so nothing counts as a reject.
 func (a creditAdmission) mayResume(st *flowState) bool {
 	c := a.c
-	return c.ctrl.Available(st.f.ID) > 0 && c.tenantBudgetOK(st) && c.coreBudgetOK(st)
+	return st.credits.Available > 0 && c.tenantBudgetOK(st) && c.coreBudgetOK(st)
 }
 
 // tenantInUse sums the fast-path credits currently in flight for the
@@ -636,9 +643,7 @@ func (c *CEIO) tenantInUse(idx int) int {
 	held := 0
 	for _, st := range c.flows {
 		if st.f.TenantIndex() == idx {
-			if f := c.ctrl.Flow(st.f.ID); f != nil {
-				held += f.InUse
-			}
+			held += st.credits.InUse
 		}
 	}
 	return held
@@ -1027,7 +1032,7 @@ func (c *CEIO) release(st *flowState, n int) {
 	}
 	if n > 0 {
 		st.releasesApplied += uint64(n)
-		c.ctrl.Release(st.f.ID, n)
+		c.ctrl.Release(st.credits, n)
 	}
 }
 

@@ -60,9 +60,7 @@ func (c *CEIO) coreInUse(q int) int {
 	held := 0
 	for _, st := range c.flows {
 		if st.f.QueueIndex() == q {
-			if f := c.ctrl.Flow(st.f.ID); f != nil {
-				held += f.InUse
-			}
+			held += st.credits.InUse
 		}
 	}
 	return held

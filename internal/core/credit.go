@@ -22,6 +22,11 @@ type FlowCredits struct {
 	// I and o_j^i bookkeeping): creditor flow ID -> credits owed. Debts
 	// are settled first out of this flow's released credits.
 	Owes map[int]int
+
+	// removed is set by RemoveFlow, which also zeroes the account. Owners
+	// keep the account after the flow is gone, so a straggling release
+	// through it must see that its credits were already reclaimed.
+	removed bool
 }
 
 // InDebt reports whether the flow still owes credits (member of I).
@@ -183,6 +188,7 @@ func (c *CreditController) RemoveFlow(id int) {
 	}
 	c.pool += f.Available + f.InUse
 	c.Reclaimed += uint64(f.InUse)
+	f.Available, f.InUse, f.removed = 0, 0, true
 	delete(c.flows, id)
 	for i, v := range c.order {
 		if v == id {
@@ -192,10 +198,11 @@ func (c *CreditController) RemoveFlow(id int) {
 	}
 }
 
-// Consume attempts to take one credit for an arriving packet. Failure
-// means the flow controller must steer the packet to the slow path.
-func (c *CreditController) Consume(id int) bool {
-	f := c.flows[id]
+// Consume attempts to take one credit from account f (as returned by
+// Flow; nil or removed accounts hold none) for an arriving packet.
+// Failure means the flow controller must steer the packet to the slow
+// path.
+func (c *CreditController) Consume(f *FlowCredits) bool {
 	if f == nil || f.Available == 0 {
 		c.Rejected++
 		return false
@@ -208,21 +215,20 @@ func (c *CreditController) Consume(id int) bool {
 
 // Release is the lazy credit release (§4.1/§4.2): the CEIO driver calls
 // it when the application's head pointer advances past a processed
-// message batch, returning n credits. Debts from Algorithm 1 are settled
-// first, in ascending creditor-ID order for determinism; the remainder
-// returns to the flow.
-func (c *CreditController) Release(id, n int) {
+// message batch, returning n credits to account f. Debts from Algorithm
+// 1 are settled first, in ascending creditor-ID order for determinism;
+// the remainder returns to the flow.
+func (c *CreditController) Release(f *FlowCredits, n int) {
 	if n <= 0 {
 		return
 	}
-	f := c.flows[id]
-	if f == nil {
+	if f == nil || f.removed {
 		// Flow already torn down: RemoveFlow reclaimed its in-use credits,
 		// so a straggling release must not refund them twice.
 		return
 	}
 	if n > f.InUse {
-		panic(fmt.Sprintf("core: flow %d releasing %d credits with only %d in use", id, n, f.InUse))
+		panic(fmt.Sprintf("core: flow %d releasing %d credits with only %d in use", f.ID, n, f.InUse))
 	}
 	f.InUse -= n
 	c.Released += uint64(n)

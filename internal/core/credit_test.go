@@ -51,7 +51,7 @@ func TestCreditDebtWhenCreditsInUse(t *testing.T) {
 	c.AddFlows(1)
 	// Flow 1 spends 90 credits on in-flight packets.
 	for i := 0; i < 90; i++ {
-		if !c.Consume(1) {
+		if !c.Consume(c.Flow(1)) {
 			t.Fatal("consume failed")
 		}
 	}
@@ -68,14 +68,14 @@ func TestCreditDebtWhenCreditsInUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Release pays the debt before refilling flow 1.
-	c.Release(1, 30)
+	c.Release(c.Flow(1), 30)
 	if got := c.Available(2); got != 40 {
 		t.Fatalf("after partial release, flow 2 has %d, want 40", got)
 	}
 	if c.Available(1) != 0 {
 		t.Fatalf("flow 1 should still have 0, got %d", c.Available(1))
 	}
-	c.Release(1, 60)
+	c.Release(c.Flow(1), 60)
 	if got := c.Available(2); got != 50 {
 		t.Fatalf("flow 2 final = %d, want 50", got)
 	}
@@ -94,17 +94,17 @@ func TestCreditConsumeExhaustion(t *testing.T) {
 	c := NewCreditController(10)
 	c.AddFlows(1)
 	for i := 0; i < 10; i++ {
-		if !c.Consume(1) {
+		if !c.Consume(c.Flow(1)) {
 			t.Fatalf("consume %d failed", i)
 		}
 	}
-	if c.Consume(1) {
+	if c.Consume(c.Flow(1)) {
 		t.Fatal("consume beyond credits must fail")
 	}
 	if c.Rejected != 1 {
 		t.Fatalf("rejected = %d", c.Rejected)
 	}
-	c.Release(1, 4)
+	c.Release(c.Flow(1), 4)
 	if c.Available(1) != 4 || c.Flow(1).InUse != 6 {
 		t.Fatalf("avail=%d inuse=%d", c.Available(1), c.Flow(1).InUse)
 	}
@@ -112,7 +112,7 @@ func TestCreditConsumeExhaustion(t *testing.T) {
 
 func TestCreditConsumeUnknownFlow(t *testing.T) {
 	c := NewCreditController(10)
-	if c.Consume(42) {
+	if c.Consume(c.Flow(42)) {
 		t.Fatal("unknown flow must not consume")
 	}
 }
@@ -120,20 +120,21 @@ func TestCreditConsumeUnknownFlow(t *testing.T) {
 func TestCreditReleaseOverflowPanics(t *testing.T) {
 	c := NewCreditController(10)
 	c.AddFlows(1)
-	c.Consume(1)
+	c.Consume(c.Flow(1))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	c.Release(1, 2)
+	c.Release(c.Flow(1), 2)
 }
 
 func TestCreditRemoveFlowReturnsToPool(t *testing.T) {
 	c := NewCreditController(100)
 	c.AddFlows(1, 2)
-	c.Consume(1)
-	c.Consume(1)
+	f1 := c.Flow(1)
+	c.Consume(f1)
+	c.Consume(f1)
 	c.RemoveFlow(1)
 	if c.Pool() != 50 { // 48 available + 2 in use reclaimed
 		t.Fatalf("pool = %d, want 50", c.Pool())
@@ -142,8 +143,10 @@ func TestCreditRemoveFlowReturnsToPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A straggling release from a removed flow is a no-op (its in-use
-	// credits were already reclaimed at removal).
-	c.Release(1, 2)
+	// credits were already reclaimed at removal), through the account its
+	// owner still holds as much as through a fresh lookup.
+	c.Release(f1, 2)
+	c.Release(c.Flow(1), 2)
 	if c.Pool() != 50 {
 		t.Fatalf("pool after late release = %d, want 50", c.Pool())
 	}
@@ -156,11 +159,11 @@ func TestCreditDebtToRemovedFlowGoesToPool(t *testing.T) {
 	c := NewCreditController(100)
 	c.AddFlows(1)
 	for i := 0; i < 100; i++ {
-		c.Consume(1)
+		c.Consume(c.Flow(1))
 	}
 	c.AddFlows(2) // flow 1 owes 50 to flow 2
 	c.RemoveFlow(2)
-	c.Release(1, 100)
+	c.Release(c.Flow(1), 100)
 	// 50 paid to the pool (flow 2 gone), 50 back to flow 1.
 	if c.Available(1) != 50 || c.Pool() != 50 {
 		t.Fatalf("avail=%d pool=%d", c.Available(1), c.Pool())
@@ -252,14 +255,14 @@ func TestCreditConservationProperty(t *testing.T) {
 				}
 			case 2: // consume
 				if id, ok := pick(o.Arg); ok {
-					if c.Consume(id) {
+					if c.Consume(c.Flow(id)) {
 						inUse[id]++
 					}
 				}
 			case 3: // release
 				if id, ok := pick(o.Arg); ok && inUse[id] > 0 {
 					n := 1 + int(o.Arg)%inUse[id]
-					c.Release(id, n)
+					c.Release(c.Flow(id), n)
 					inUse[id] -= n
 				}
 			case 4: // recycle
@@ -299,7 +302,7 @@ func TestCreditReclaimInUse(t *testing.T) {
 	c := NewCreditController(100)
 	c.AddFlows(1)
 	for i := 0; i < 60; i++ {
-		c.Consume(1)
+		c.Consume(c.Flow(1))
 	}
 	// Host released 20, but the release messages were lost: InUse stays 60.
 	if got := c.ReclaimInUse(1, 20); got != 20 {
@@ -336,7 +339,7 @@ func TestCreditReclaimSettlesDebts(t *testing.T) {
 	c := NewCreditController(100)
 	c.AddFlows(1)
 	for i := 0; i < 100; i++ {
-		c.Consume(1)
+		c.Consume(c.Flow(1))
 	}
 	c.AddFlows(2) // flow 2 arrives starved: flow 1 owes it 50
 	if c.Available(2) != 0 || c.Flow(1).Owes[2] != 50 {
@@ -363,13 +366,13 @@ func TestCreditStarvationRecovery(t *testing.T) {
 	c := NewCreditController(10)
 	c.AddFlows(1)
 	for i := 0; i < 10; i++ {
-		c.Consume(1)
+		c.Consume(c.Flow(1))
 	}
-	if c.Consume(1) {
+	if c.Consume(c.Flow(1)) {
 		t.Fatal("starved flow consumed")
 	}
 	c.ReclaimInUse(1, 10)
-	if !c.Consume(1) {
+	if !c.Consume(c.Flow(1)) {
 		t.Fatal("reclaim did not unstarve the flow")
 	}
 	if err := c.CheckConservation(); err != nil {
@@ -383,13 +386,13 @@ func TestCreditBurstArrivalDuringReclaim(t *testing.T) {
 	c := NewCreditController(256)
 	c.AddFlows(1, 2)
 	for i := 0; i < 100; i++ {
-		c.Consume(1)
+		c.Consume(c.Flow(1))
 	}
 	c.ReclaimInUse(1, 40)
 	c.AddFlows(3, 4, 5, 6) // burst joins mid-reconciliation
 	c.ReclaimInUse(1, 60)
 	for _, id := range []int{3, 4, 5, 6} {
-		c.Release(id, c.Flow(id).InUse) // no-ops; keep the API exercised
+		c.Release(c.Flow(id), c.Flow(id).InUse) // no-ops; keep the API exercised
 	}
 	if err := c.CheckInvariant(); err != nil {
 		t.Fatal(err)
@@ -407,12 +410,13 @@ func TestCreditBurstArrivalDuringReclaim(t *testing.T) {
 func TestCreditConservationLedgerAcrossRemoval(t *testing.T) {
 	c := NewCreditController(100)
 	c.AddFlows(1, 2)
+	f1 := c.Flow(1)
 	for i := 0; i < 30; i++ {
-		c.Consume(1)
+		c.Consume(f1)
 	}
-	c.Release(1, 10)
+	c.Release(f1, 10)
 	c.RemoveFlow(1) // 20 still in use -> Reclaimed
-	c.Release(1, 20)
+	c.Release(f1, 20)
 	if err := c.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
@@ -434,5 +438,39 @@ func TestCreditMassArrival(t *testing.T) {
 	}
 	if c.Available(1) != 3 || c.Available(1024) != 3 {
 		t.Fatalf("per-flow = %d/%d, want 3", c.Available(1), c.Available(1024))
+	}
+}
+
+// A flow removed and re-added under the same ID gets a fresh account. The
+// old account, still held by the torn-down flow's state, must neither
+// refund into the new one nor hand out credits.
+func TestCreditStaleAccountAfterReAdd(t *testing.T) {
+	c := NewCreditController(100)
+	c.AddFlows(1, 2)
+	old := c.Flow(1)
+	for i := 0; i < 10; i++ {
+		c.Consume(old)
+	}
+	c.RemoveFlow(1)
+	c.AddFlows(1)
+	fresh := c.Flow(1)
+	if fresh == old {
+		t.Fatal("re-added flow reuses the removed account")
+	}
+	c.Consume(fresh)
+	avail, inUse := fresh.Available, fresh.InUse
+	c.Release(old, 10)
+	if fresh.Available != avail || fresh.InUse != inUse {
+		t.Fatalf("stale release moved the new account: avail %d->%d inuse %d->%d",
+			avail, fresh.Available, inUse, fresh.InUse)
+	}
+	if c.Consume(old) {
+		t.Fatal("removed account handed out a credit")
+	}
+	if err := c.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckConservation(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -80,7 +80,7 @@ func TestSteeringDropInjection(t *testing.T) {
 	f := m.AddFlow(kvSpec(1, 512))
 	m.Run(1 * sim.Millisecond)
 	delivered := f.Delivered.Packets
-	m.Steer.SetAction(1, flowsteer.ActionDrop)
+	m.Steer.Set(m.Steer.Rule(1), flowsteer.ActionDrop)
 	m.Run(2 * sim.Millisecond)
 	// ActionDrop is not fast, so packets go to the slow path in this
 	// datapath's interpretation — verify nothing deadlocks and credits

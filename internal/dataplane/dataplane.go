@@ -24,6 +24,7 @@ package dataplane
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ceio/internal/cache"
@@ -162,6 +163,12 @@ type Module struct {
 	flows int
 	lines int // current working set in cache lines
 
+	// refs holds the LLC handle of every state line this module has
+	// touched, indexed by line number and paged in lazily: a page is
+	// allocated on the first touch of one of its lines, so a large table
+	// (upf's 32768 lines) costs memory only for the part packets reach.
+	refs [][]cache.Ref
+
 	// Window counters, reset by ResetWindow (Resident is a live gauge
 	// and survives resets).
 	Packets  uint64
@@ -198,6 +205,25 @@ func (mod *Module) resize() {
 	if mod.lines < 1 {
 		mod.lines = 1
 	}
+}
+
+// refPageBits sizes one page of a module's line-handle table (512
+// handles, 4 KB).
+const refPageBits = 9
+
+// ref returns the handle slot of state line line, paging it in.
+func (mod *Module) ref(line int) *cache.Ref {
+	pg := line >> refPageBits
+	if pg >= len(mod.refs) {
+		// The table only grows, so slots past len are still nil.
+		mod.refs = slices.Grow(mod.refs, pg+1-len(mod.refs))[:pg+1]
+	}
+	page := mod.refs[pg]
+	if page == nil {
+		page = make([]cache.Ref, 1<<refPageBits)
+		mod.refs[pg] = page
+	}
+	return &page[line&(1<<refPageBits-1)]
 }
 
 // Engine hosts the instantiated modules of one machine and charges
@@ -291,15 +317,15 @@ func (e *Engine) PacketCost(chain []*Module, part, flowID int, seq uint64) sim.T
 		base := uint64(flowID)<<24 ^ seq<<8 ^ uint64(mod.idx)
 		for t := 0; t < mod.Touches; t++ {
 			line := int(splitmix64(base+uint64(t)) % uint64(mod.lines))
-			id := stateLineID(mod.idx, line)
-			hit, evicted := e.llc.TouchState(part, id, LineBytes)
+			ref := mod.ref(line)
+			hit, evicted := e.llc.TouchState(part, ref, stateLineID(mod.idx, line), LineBytes)
 			if hit {
 				mod.Hits++
 				c += e.hitLat
 			} else {
 				mod.Misses++
 				c += e.mem.AccessLatency(LineBytes)
-				if e.llc.Resident(id) {
+				if e.llc.Resident(*ref) {
 					mod.Resident += LineBytes
 				}
 				if len(evicted) > 0 && e.sink != nil {

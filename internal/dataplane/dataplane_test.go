@@ -178,7 +178,11 @@ func FuzzPipeline(f *testing.F) {
 
 		// Track resident I/O buffers the way iosys does, via the eviction
 		// sink, so state + I/O bytes can be reconciled with occupancy.
-		ioResident := map[cache.BufID]int64{}
+		type ioBuf struct {
+			ref  *cache.Ref
+			size int64
+		}
+		ioResident := map[cache.BufID]ioBuf{}
 		var e *Engine
 		sink := func(evs []cache.Evicted) {
 			for _, ev := range evs {
@@ -229,11 +233,11 @@ func FuzzPipeline(f *testing.F) {
 				t.Fatalf("per-module busy %v, TotalBusy %v", busy, e.TotalBusy)
 			}
 			var io int64
-			for id, size := range ioResident {
-				if !llc.Resident(id) {
+			for id, b := range ioResident {
+				if !llc.Resident(*b.ref) {
 					t.Fatalf("tracked I/O buffer %d not in LLC", id)
 				}
-				io += size
+				io += b.size
 			}
 			if e.ResidentBytes()+io != llc.Occupancy() {
 				t.Fatalf("state %d + io %d != occupancy %d", e.ResidentBytes(), io, llc.Occupancy())
@@ -267,10 +271,11 @@ func FuzzPipeline(f *testing.F) {
 				seq++
 			case 2: // competing I/O buffer DMA, as dmaArrived does
 				size := int64(arg)%2048 + 64
-				evs := llc.InsertIOSized(part, nextIO, size, size)
-				resident := llc.Resident(nextIO)
+				ref := new(cache.Ref)
+				evs := llc.InsertIOSized(part, ref, nextIO, size, size)
+				resident := llc.Resident(*ref)
 				if resident {
-					ioResident[nextIO] = size
+					ioResident[nextIO] = ioBuf{ref, size}
 				}
 				sink(evs)
 				nextIO++

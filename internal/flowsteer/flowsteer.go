@@ -6,8 +6,6 @@
 // counters, which the on-NIC cores poll to track credit consumption.
 package flowsteer
 
-import "fmt"
-
 // Action is the verdict a steering rule applies to a matching packet.
 type Action uint8
 
@@ -42,7 +40,9 @@ type Rule struct {
 }
 
 // Table is the steering flow table. Lookup cost in real RMT hardware is
-// constant; here it is a map access.
+// constant; here the packet path holds its flow's *Rule, and the
+// ID-keyed map serves only the control plane (install, uninstall,
+// listing).
 type Table struct {
 	rules map[int]*Rule
 
@@ -55,7 +55,7 @@ type Table struct {
 	Updates    uint64
 	Installs   uint64
 	Uninstalls uint64
-	// FailedUpdates counts SetAction attempts the simulated firmware
+	// FailedUpdates counts Set attempts the simulated firmware
 	// rejected under fault injection (the controller retries them with
 	// backoff; see core's steering path).
 	FailedUpdates uint64
@@ -83,32 +83,28 @@ func (t *Table) Uninstall(flowID int) {
 	}
 }
 
-// SetAction updates the action field of an existing rule, as the CEIO flow
-// controller does when a flow exhausts its credits or its slow path
-// drains. It returns an error when the rule does not exist, which would
-// indicate a controller bug.
-func (t *Table) SetAction(flowID int, a Action) error {
-	r, ok := t.rules[flowID]
-	if !ok {
-		return fmt.Errorf("flowsteer: no rule for flow %d", flowID)
-	}
+// Set updates the action of installed rule r, as the CEIO flow
+// controller does through the rule Install returned when a flow exhausts
+// its credits or its slow path drains.
+func (t *Table) Set(r *Rule, a Action) {
 	if r.Action != a {
 		r.Action = a
 		t.Updates++
 	}
-	return nil
 }
 
 // UpdateFailed records a rule update the firmware rejected (fault
 // injection); the table itself is unchanged.
 func (t *Table) UpdateFailed() { t.FailedUpdates++ }
 
-// Lookup matches a packet of size bytes from flowID and returns the
-// action, updating the matched rule's hit counters.
-func (t *Table) Lookup(flowID, size int) Action {
+// Lookup matches a packet of size bytes against rule r (the rule
+// Install returned for the packet's flow; nil when the flow has none)
+// and returns the action, updating the rule's hit counters. The match
+// itself is the caller holding the rule, as a hardware match-action
+// stage resolves the match key to its entry in constant time.
+func (t *Table) Lookup(r *Rule, size int) Action {
 	t.Lookups++
-	r, ok := t.rules[flowID]
-	if !ok {
+	if r == nil {
 		t.MissCount++
 		return t.Default
 	}

@@ -7,40 +7,38 @@ import (
 
 func TestTableLifecycle(t *testing.T) {
 	tb := NewTable()
-	if tb.Lookup(1, 100) != ActionFastPath {
+	if tb.Lookup(tb.Rule(1), 100) != ActionFastPath {
 		t.Fatal("default should be fast path")
 	}
 	if tb.MissCount != 1 {
 		t.Fatal("default lookup should count a miss")
 	}
 	tb.Install(1, ActionFastPath)
-	if a := tb.Lookup(1, 100); a != ActionFastPath {
+	if a := tb.Lookup(tb.Rule(1), 100); a != ActionFastPath {
 		t.Fatalf("action = %v", a)
 	}
 	r := tb.Rule(1)
 	if r.Hits != 1 || r.HitBytes != 100 {
 		t.Fatalf("hits=%d bytes=%d", r.Hits, r.HitBytes)
 	}
-	if err := tb.SetAction(1, ActionSlowPath); err != nil {
-		t.Fatal(err)
-	}
-	if a := tb.Lookup(1, 50); a != ActionSlowPath {
+	tb.Set(r, ActionSlowPath)
+	if a := tb.Lookup(tb.Rule(1), 50); a != ActionSlowPath {
 		t.Fatalf("action after update = %v", a)
 	}
 	if tb.Updates != 1 {
 		t.Fatalf("updates = %d", tb.Updates)
 	}
 	// Setting the same action is a no-op update.
-	tb.SetAction(1, ActionSlowPath)
+	tb.Set(r, ActionSlowPath)
 	if tb.Updates != 1 {
-		t.Fatal("idempotent SetAction should not count")
+		t.Fatal("idempotent Set should not count")
 	}
 	tb.Uninstall(1)
-	if tb.Len() != 0 {
+	if tb.Len() != 0 || tb.Rule(1) != nil {
 		t.Fatal("uninstall failed")
 	}
-	if err := tb.SetAction(1, ActionFastPath); err == nil {
-		t.Fatal("SetAction on absent rule should error")
+	if tb.Lookup(tb.Rule(1), 10) != tb.Default || tb.MissCount != 2 {
+		t.Fatal("lookup after uninstall should miss to the default action")
 	}
 }
 

@@ -653,7 +653,7 @@ func dmaArrived(arg any) {
 	if lines := int64((p.Size + 63) &^ 63); lines > occ {
 		occ = lines
 	}
-	evicted := m.LLC.InsertIOSized(p.Part, p.Buf, occ, int64(p.Size))
+	evicted := m.LLC.InsertIOSized(p.Part, &p.Ref, p.Buf, occ, int64(p.Size))
 	// Evicted dirty lines write back to DRAM asynchronously, charging
 	// memory bandwidth (and thereby inflating CPU miss latency and
 	// slowing bulk moves) without stalling the DDIO commit itself.
@@ -740,7 +740,7 @@ func (m *Machine) Deliver(f *Flow, p *pkt.Packet) {
 func (m *Machine) Drop(f *Flow, p *pkt.Packet) {
 	f.Drops++
 	m.TotalDrops++
-	m.LLC.Drop(p.Buf)
+	m.LLC.Drop(p.Ref)
 	f.inFlight -= int64(p.Size + m.Cfg.EthOverhead)
 	m.releaseHostBuf(p)
 	m.Trace(trace.KindDropped, p.FlowID, p.Seq)
@@ -754,11 +754,6 @@ func (m *Machine) DropNoHostBuf(f *Flow, p *pkt.Packet) {
 	m.NoHostBufDrops++
 	m.Drop(f, p)
 }
-
-// BufSize returns the payload size recorded for a resident buffer (0
-// once it is consumed, dropped, or evicted; the record lives in the
-// LLC's LRU node).
-func (m *Machine) BufSize(id cache.BufID) int { return int(m.LLC.PayloadOf(id)) }
 
 // ConsumeBypass models the memory-controller side of a CPU-bypass packet
 // that landed in the LLC (path ② of Figure 3): the DFS/RDMA consumer
@@ -789,7 +784,7 @@ func bypassMoved(arg any) {
 	j := arg.(*rxJob)
 	m, f, p := j.m, j.f, j.p
 	m.rxJobs.Put(j)
-	hit := m.LLC.ProbeIn(p.Part, p.Buf)
+	hit := m.LLC.ProbeIn(p.Part, p.Ref)
 	if m.Tenants != nil {
 		m.Tenants.Account(f.tenantIdx, hit)
 	}
@@ -810,7 +805,7 @@ func (m *Machine) PacketCPUCost(f *Flow, p *pkt.Packet) sim.Time {
 		// Slow-path data was just DMA-read into host memory and is warm.
 		c += m.Cfg.LLCHitLatency
 	} else {
-		hit := m.LLC.ConsumeIn(p.Part, p.Buf)
+		hit := m.LLC.ConsumeIn(p.Part, p.Ref)
 		m.LLC.AccountQueue(f.queue, hit)
 		if m.Tenants != nil {
 			m.Tenants.Account(f.tenantIdx, hit)

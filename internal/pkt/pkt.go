@@ -1,6 +1,6 @@
 // Package pkt defines the packet descriptor shared by the NIC, ring, and
 // host layers. A Packet is a descriptor, not payload: the simulation tracks
-// data placement through cache.BufID identities rather than bytes.
+// data placement through handles to LLC lines (cache.Ref) rather than bytes.
 //
 // Paper-side counterpart (per the DESIGN.md substitution table): the rx
 // descriptors the NIC DMA-writes alongside payloads into host rings
@@ -32,20 +32,34 @@ func (p Path) String() string {
 	return "fast"
 }
 
-// Packet is one network packet traversing the I/O system.
+// Packet is one network packet traversing the I/O system. The word-sized
+// fields come first and the flags last, so the descriptor packs into 72
+// bytes (TestPacketFitsSizeClass).
 type Packet struct {
-	Buf    cache.BufID // I/O buffer identity for LLC residency tracking
+	Buf    cache.BufID // I/O buffer identity, named in LLC eviction reports
 	FlowID int         // owning flow
 	Seq    uint64      // per-flow sequence number, assigned at NIC arrival
 	Size   int         // payload size in bytes
 
 	Arrival sim.Time // NIC rx timestamp (start of the I/O latency measurement)
-	Path    Path     // which path delivered it
 
 	// Part is the LLC partition this packet's buffer DMAs into: the
 	// owning tenant's partition on a tenanted machine, 0 (the whole DDIO
 	// region) otherwise. Stamped at emission from the flow's tenant.
 	Part int
+
+	// Ref is the handle to the buffer's LLC line, set by the DDIO insert
+	// when the packet lands in host memory. Reads, drops and RDCA's
+	// demotion go through it; it reads as not resident once the line is
+	// consumed or evicted (and stays zero for packets that never DMA into
+	// the LLC).
+	Ref cache.Ref
+
+	// HostBuf is the pooled host I/O buffer carrying this packet when the
+	// machine runs with a bounded buffer pool (Config.HostBuffers > 0).
+	HostBuf *bufpool.Buffer
+
+	Path Path // which path delivered it
 
 	// MsgStart/MsgEnd delimit application messages. MsgEnd triggers lazy
 	// credit release (the paper's batch-completion semantics, §4.1) and
@@ -60,10 +74,6 @@ type Packet struct {
 	// ring entries may be reserved before their data arrives, and drivers
 	// only deliver landed packets.
 	Landed bool
-
-	// HostBuf is the pooled host I/O buffer carrying this packet when the
-	// machine runs with a bounded buffer pool (Config.HostBuffers > 0).
-	HostBuf *bufpool.Buffer
 
 	// pooled marks descriptors born from a Pool; recycled flips true
 	// while such a descriptor is parked on the free list, catching

@@ -328,8 +328,8 @@ func (d *RDCA) OnDelivered(f *iosys.Flow, p *pkt.Packet) {
 	pw := &d.wins[f.Partition()]
 	pw.inFlight--
 	if _, ok := d.inflight.Delete(p.Buf); ok {
-		if f.Kind == iosys.CPUBypass && d.m.LLC.Resident(p.Buf) {
-			d.m.LLC.Drop(p.Buf)
+		if f.Kind == iosys.CPUBypass && d.m.LLC.Resident(p.Ref) {
+			d.m.LLC.Drop(p.Ref)
 			d.Demoted++
 		}
 	}

@@ -29,6 +29,7 @@ func FuzzRepartition(f *testing.F) {
 		}
 		cfg := dynConfig(layouts[int(data[0])%len(layouts)]...)
 		llc := cache.NewLLC(1 << 20)
+		refs := bufRefs{}
 		r, err := NewRegistry(cfg, llc)
 		if err != nil {
 			t.Fatalf("registry rejected a valid layout: %v", err)
@@ -43,12 +44,12 @@ func FuzzRepartition(f *testing.F) {
 			switch b % 5 {
 			case 0, 1: // insert into some partition
 				next++
-				llc.InsertIOIn(int(b>>4)%parts, next, int64(64*(1+int(b%32))))
+				refs.insertIn(llc, int(b>>4)%parts, next, int64(64*(1+int(b%32))))
 			case 2: // account a hit or miss against a tenant
 				r.Account(tenantIdx, b&0x08 != 0)
 			case 3: // consume through a partition
 				if next > 0 {
-					llc.ConsumeIn(int(b>>4)%parts, cache.BufID(int(b)*(i+1))%next+1)
+					refs.consumeIn(llc, int(b>>4)%parts, cache.BufID(int(b)*(i+1))%next+1)
 				}
 			case 4: // scan: the repartitioner moves ways
 				ctrl.ScanOnce()

@@ -135,6 +135,7 @@ func TestSharedModeNoPartitions(t *testing.T) {
 // missing.
 func TestControllerGrowsCapacityHungryTenant(t *testing.T) {
 	llc := cache.NewLLC(6 << 20)
+	refs := bufRefs{}
 	r, err := NewRegistry(dynConfig(Spec{ID: "kv", Ways: 1}, Spec{ID: "bulk", Ways: 4}), llc)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +149,7 @@ func TestControllerGrowsCapacityHungryTenant(t *testing.T) {
 		id := cache.BufID(1000 * (tn.Index + 1))
 		for llc.PartOccupancy(tn.Part) < llc.PartCapacity(tn.Part) {
 			id++
-			llc.InsertIOIn(tn.Part, id, 64<<10)
+			refs.insertIn(llc, tn.Part, id, 64<<10)
 		}
 	}
 	// One scan window: kv's 5-way working set means (5 - ways)/5 of its
@@ -201,6 +202,7 @@ func TestControllerGrowsCapacityHungryTenant(t *testing.T) {
 // miss rate recovers.
 func TestControllerSaturationLatch(t *testing.T) {
 	llc := cache.NewLLC(6 << 20)
+	refs := bufRefs{}
 	r, err := NewRegistry(dynConfig(Spec{ID: "kv", Ways: 2}, Spec{ID: "bulk", Ways: 3}), llc)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +214,7 @@ func TestControllerSaturationLatch(t *testing.T) {
 		id := base
 		for llc.PartOccupancy(part) < llc.PartCapacity(part) {
 			id++
-			llc.InsertIOIn(part, id, 64<<10)
+			refs.insertIn(llc, part, id, 64<<10)
 		}
 	}
 	thrash := func() {
@@ -299,6 +301,7 @@ func TestControllerOnEngineClock(t *testing.T) {
 // the registered sink exactly once.
 func TestMoveWayEvictSink(t *testing.T) {
 	llc := cache.NewLLC(6 << 10)
+	refs := bufRefs{}
 	r, err := NewRegistry(dynConfig(Spec{ID: "kv", Ways: 5, MinWays: 1}, Spec{ID: "bulk", Ways: 1}), llc)
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +316,7 @@ func TestMoveWayEvictSink(t *testing.T) {
 	// Fill kv's partition completely, then take a way from it.
 	wb := r.WayBytes()
 	for i := int64(0); i < 5; i++ {
-		llc.InsertIOIn(kv.Part, cache.BufID(i+1), wb)
+		refs.insertIn(llc, kv.Part, cache.BufID(i+1), wb)
 	}
 	if !r.moveWay(kv.Index, 1) {
 		t.Fatal("moveWay refused a legal move")
@@ -353,4 +356,25 @@ func TestCredits(t *testing.T) {
 	if got := r.Credits(-1, 2048); got != int(wb/2048) {
 		t.Fatalf("untagged credits = %d, want shared pool / buf size", got)
 	}
+}
+
+// bufRefs keeps the LLC handle of each buffer a test inserted, keyed by
+// buffer ID, so tests can address the ref-based LLC by ID.
+type bufRefs map[cache.BufID]*cache.Ref
+
+func (b bufRefs) ref(id cache.BufID) *cache.Ref {
+	r := b[id]
+	if r == nil {
+		r = new(cache.Ref)
+		b[id] = r
+	}
+	return r
+}
+
+func (b bufRefs) insertIn(llc *cache.LLC, part int, id cache.BufID, size int64) []cache.Evicted {
+	return llc.InsertIOSized(part, b.ref(id), id, size, size)
+}
+
+func (b bufRefs) consumeIn(llc *cache.LLC, part int, id cache.BufID) bool {
+	return llc.ConsumeIn(part, *b.ref(id))
 }
